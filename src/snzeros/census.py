@@ -1,7 +1,10 @@
 """Exact zero statistics: full-table scans and generating-function counts.
 
-Small n: iterate the whole p(n) x p(n) character table and tally zeros by
-type.  Large n: the number of type-1 zeros decomposes as
+Small n: build the p(n) x p(n) character table column by column and tally
+zeros by type.  The column of mu (rows partitions_of(|mu|)) comes from the
+column of mu[1:]: remove every mu_1-rim hook of each row, with its sign, and
+read the smaller shape's value.  Only columns with |mu| + mu_1 <= n are read
+again and kept.  Large n: the number of type-1 zeros decomposes as
 sum_t q(n,t) * c_t(n), where q(n,t) counts column shapes with largest part t
 and c_t(n) counts row shapes with no hook divisible by t.  The c_t series is
 the partition series times E(x^t)^t with E the (sparse, pentagonal) Euler
@@ -12,10 +15,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .errors import ResourceLimit
-from .mn import classify
-from .partitions import Partition, partitions_of
+from .errors import ResourceLimit, SnZerosError
+from .mn import classify  # noqa: F401  module attribute the benchmark tracer patches
+from .partitions import Partition, encode, is_t_core, partitions_of, rim_hook_removals
 from .ptable import build_p_table
 
 DEFAULT_SCAN_CAP = 20
@@ -74,33 +79,31 @@ def full_table_scan(n: int, cap: int | None = None) -> ScanResult:
         cap = scan_cap()
     if n > cap:
         raise ResourceLimit(f"n={n} exceeds scan cap {cap}")
-    rows = [Partition(t) for t in partitions_of(n)]
+    if n < 0:
+        raise SnZerosError(f"scan needs n >= 0, got n={n}")
+    codes = [[encode(Partition(p)) for p in partitions_of(m)] for m in range(n + 1)]
+    index = [{c.word: i for i, c in enumerate(row)} for row in codes]
+    # core[t] has bit i set iff row i of weight n has no hook divisible by t
+    core = [0] + [sum(1 << i for i, c in enumerate(codes[n]) if is_t_core(c, t))
+                  for t in range(1, n + 1)]
+    columns: dict[tuple[int, ...], list[int]] = {(): [1]}
     zero = type1 = type2 = 0
-    for mu_parts in partitions_of(n):
-        mu = Partition(mu_parts)
-        for lam in rows:
-            zc = classify(lam, mu, evaluate=True)
-            zero += zc.is_zero
-            type1 += zc.is_type1
-            type2 += zc.is_type2
-    p_n = len(rows)
-    return ScanResult(n, p_n * p_n, zero, type1, type2)
-
-
-def count_t_cores(n: int, t: int) -> int:
-    """Number of partitions of n with no hook length divisible by t.
-
-    Coefficient of x^n in prod_k (1 - x^{tk})^t / (1 - x^k), by dense exact
-    series arithmetic: start from the partition series and apply each factor
-    (1 - x^{tk}) t times.
-    """
-    series = list(build_p_table(n, cap=max(n, 0) + 1).counts)
-    for k in range(1, n // t + 1):
-        step = t * k
-        for _ in range(t):
-            for m in range(n, step - 1, -1):
-                series[m] -= series[m - step]
-    return series[n]
+    for m in range(1, n + 1):
+        # below weight n, only columns with |mu| + mu_1 <= n are read again
+        for t in range(1, min(m, n - m) + 1 if m < n else n + 1):
+            # hooks[i]: (row index at weight m - t, sign) for each t-rim hook of row i
+            hooks = [[(index[m - t][c.word], s) for c, s in rim_hook_removals(code, t)]
+                     for code in codes[m]]
+            for rest in partitions_of(m - t, t):
+                below = columns[rest]
+                col = [sum(s * below[j] for j, s in h) for h in hooks]
+                if m < n:
+                    columns[(t,) + rest] = col
+                    continue
+                zero += col.count(0)
+                type1 += core[t].bit_count()
+                type2 += reduce(or_, [core[part] for part in {t, *rest}]).bit_count()
+    return ScanResult(n, len(codes[n]) ** 2, zero, type1, type2)
 
 
 def _pentagonal_coeffs(max_deg: int) -> list[tuple[int, int]]:
@@ -120,12 +123,16 @@ def _pentagonal_coeffs(max_deg: int) -> list[tuple[int, int]]:
     return out
 
 
-def _core_count_at(n: int, t: int, pcounts: tuple[int, ...]) -> int:
-    """c_t(n) via E(y)^t computed with the power-series power recurrence.
+def count_t_cores(n: int, t: int, pcounts: tuple[int, ...] | None = None) -> int:
+    """c_t(n), partitions of n with no hook divisible by t, via E(y)^t.
 
     With g = E^t and E sparse, m*g_m = sum_j ((t+1)*j - m) E_j g_{m-j}; the
-    division is exact.  Then c_t(n) = sum_j g_j * p(n - t*j).
+    division is exact.  Then c_t(n) = sum_j g_j * p(n - t*j), p = pcounts.
     """
+    if n < 0 or t < 1:
+        raise SnZerosError(f"c_t(n) needs n >= 0 and t >= 1, got n={n}, t={t}")
+    if pcounts is None:
+        pcounts = build_p_table(n, cap=n + 1).counts
     deg = n // t
     euler = _pentagonal_coeffs(deg)[1:]  # skip the constant term
     g = [0] * (deg + 1)
@@ -138,7 +145,8 @@ def _core_count_at(n: int, t: int, pcounts: tuple[int, ...]) -> int:
             term = ((t + 1) * j - m) * g[m - j]
             acc += term if e > 0 else -term
         q, r = divmod(acc, m)
-        assert r == 0
+        if r:
+            raise SnZerosError(f"inexact division in E^{t} coefficient {m}")
         g[m] = q
     return sum(g[j] * pcounts[n - t * j] for j in range(deg + 1))
 
@@ -146,14 +154,14 @@ def _core_count_at(n: int, t: int, pcounts: tuple[int, ...]) -> int:
 def count_max_part(n: int) -> list[int]:
     """q[t] = number of partitions of n with largest part exactly t, 1 <= t <= n.
 
-    q(n,t) is the number of partitions of n-t into parts <= t; a rolling
-    bounded-part array keeps memory at O(n) big integers.
+    q(n,t) counts partitions of n-t into parts <= t, read off a rolling
+    bounded-part array; step t updates only the indices m <= n - t still read.
     """
     bounded = [0] * (n + 1)  # partitions with parts <= t, updated in place
     bounded[0] = 1
     q = [0] * (n + 1)
     for t in range(1, n + 1):
-        for m in range(t, n + 1):
+        for m in range(t, n - t + 1):
             bounded[m] += bounded[m - t]
         q[t] = bounded[n - t]
     return q
@@ -169,4 +177,4 @@ def count_type1(n: int, cap: int | None = None) -> int:
         return 0
     pcounts = build_p_table(n, cap=n + 1).counts
     q = count_max_part(n)
-    return sum(q[t] * _core_count_at(n, t, pcounts) for t in range(1, n + 1))
+    return sum(q[t] * count_t_cores(n, t, pcounts) for t in range(1, n + 1))

@@ -198,8 +198,9 @@ def run(argv: list[str]) -> int:
         res = full_table_scan(args.n)
         print(CSV_HEADER)
         print(_scan_csv_row(res))
-        if args.ratio:
-            print(f"type1/zero = {res.type1_over_zero()}", file=sys.stderr)
+        if args.ratio:  # tables with n <= 2 have no zeros
+            ratio = res.type1_over_zero() if res.zero_count else "undefined"
+            print(f"type1/zero = {ratio}", file=sys.stderr)
 
     elif args.command == "count-type1":
         print(count_type1(args.n))

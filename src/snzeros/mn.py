@@ -30,6 +30,7 @@ class ZeroClass:
     is_type2: ... by some cycle length (type 1 implies type 2).
     is_zero:  the value is exactly 0.  When evaluated is False the engine did
     not compute the value and is_zero merely repeats is_type2 (a lower bound).
+    Otherwise it is exact, from the type-2 test or from full evaluation.
     """
 
     is_zero: bool
@@ -71,8 +72,8 @@ def character(lam: Partition, mu: Partition) -> int:
 def classify(lam: Partition, mu: Partition, evaluate: bool = True) -> ZeroClass:
     """Type-1/type-2 core tests for (lam, mu), optionally with full evaluation.
 
-    The core tests are cheap bit scans and run first; only full evaluation
-    can certify a zero that neither test witnesses.
+    The core tests are cheap bit scans and run first.  A type-2 witness
+    certifies the zero by itself; otherwise only full evaluation can.
     """
     if lam.n != mu.n:
         raise WeightMismatch(f"lambda has weight {lam.n} but mu has weight {mu.n}")
@@ -82,7 +83,7 @@ def classify(lam: Partition, mu: Partition, evaluate: bool = True) -> ZeroClass:
         is_type2 = True
     else:
         is_type2 = any(is_t_core(code, t) for t in set(mu.parts[1:]))
-    if evaluate:
+    if evaluate and not is_type2:
         is_zero = character(lam, mu) == 0
     else:
         is_zero = is_type2

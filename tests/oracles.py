@@ -119,3 +119,22 @@ def centralizer_size(mu: tuple[int, ...]) -> int:
         m = mu.count(d)
         size *= d**m * factorial(m)
     return size
+
+
+def dense_core_count(n: int, t: int) -> int:
+    """Number of partitions of n with no hook length divisible by t.
+
+    Coefficient of x^n in prod_k (1 - x^{tk})^t / (1 - x^k), by dense exact
+    series arithmetic: build the partition series, then apply each factor
+    (1 - x^{tk}) t times.
+    """
+    series = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            series[m] += series[m - part]
+    for k in range(1, n // t + 1):
+        step = t * k
+        for _ in range(t):
+            for m in range(n, step - 1, -1):
+                series[m] -= series[m - step]
+    return series[n]

@@ -1,14 +1,24 @@
 import pytest
 
-from snzeros import Partition, ResourceLimit, build_p_table, encode, is_t_core, partitions_of
+from snzeros import (
+    Partition,
+    ResourceLimit,
+    SnZerosError,
+    build_p_table,
+    classify,
+    encode,
+    is_t_core,
+    partitions_of,
+)
 from snzeros.census import (
-    _core_count_at,
     count_max_part,
     count_t_cores,
     count_type1,
     full_table_scan,
     ratio_decimal,
 )
+
+from oracles import bounded_part_count, dense_core_count, naive_character, partitions_tuples
 
 
 class TestRatioDecimal:
@@ -50,12 +60,59 @@ class TestFullTableScan:
         with pytest.raises(ResourceLimit):
             full_table_scan(21)
 
+    def test_negative_n(self):
+        with pytest.raises(SnZerosError):
+            full_table_scan(-1)
+
+    def test_n0_is_one_nonzero_entry(self):
+        res = full_table_scan(0)
+        assert (res.total_entries, res.zero_count, res.type1_count, res.type2_count) == (1, 0, 0, 0)
+
+    def test_matches_naive_oracle_tally(self):
+        for n in range(1, 9):
+            zero = type1 = type2 = 0
+            for mu in partitions_tuples(n):
+                for lam in partitions_tuples(n):
+                    code = encode(Partition(lam))
+                    zero += naive_character(lam, mu) == 0
+                    type1 += is_t_core(code, mu[0])
+                    type2 += any(is_t_core(code, t) for t in set(mu))
+            res = full_table_scan(n)
+            assert (res.zero_count, res.type1_count, res.type2_count) == (zero, type1, type2), n
+
+    def test_matches_classify_tally(self):
+        for n in range(1, 13):
+            shapes = [Partition(p) for p in partitions_of(n)]
+            tally = [0, 0, 0]
+            for mu in shapes:
+                for lam in shapes:
+                    zc = classify(lam, mu)
+                    tally[0] += zc.is_zero
+                    tally[1] += zc.is_type1
+                    tally[2] += zc.is_type2
+            res = full_table_scan(n)
+            assert [res.zero_count, res.type1_count, res.type2_count] == tally, n
+
+    @pytest.mark.parametrize("n, counts", [
+        (17, (33355, 16362, 17197)),
+        (20, (155176, 77133, 81573)),
+    ])
+    def test_frozen_counts(self, n, counts):
+        res = full_table_scan(n)
+        assert res.total_entries == len(list(partitions_of(n))) ** 2
+        assert (res.zero_count, res.type1_count, res.type2_count) == counts
+
 
 def brute_core_count(n, t):
     return sum(1 for parts in partitions_of(n) if is_t_core(encode(Partition(parts)), t))
 
 
 class TestCoreCounts:
+    def test_invalid_arguments(self):
+        for n, t in [(5, 0), (5, -2), (-1, 2)]:
+            with pytest.raises(SnZerosError):
+                count_t_cores(n, t)
+
     def test_t_larger_than_n_counts_everything(self):
         table = build_p_table(12)
         for n in range(13):
@@ -78,7 +135,7 @@ class TestCoreCounts:
         pcounts = build_p_table(60).counts
         for n in (0, 1, 7, 23, 60):
             for t in (1, 2, 3, 5, 11, 31):
-                assert _core_count_at(n, t, pcounts) == count_t_cores(n, t), (n, t)
+                assert count_t_cores(n, t, pcounts) == dense_core_count(n, t), (n, t)
 
 
 class TestMaxPartCounts:
@@ -92,6 +149,11 @@ class TestMaxPartCounts:
         table = build_p_table(30)
         for n in range(1, 31):
             assert sum(count_max_part(n)) == table.counts[n]
+
+    def test_matches_bounded_part_oracle(self):
+        for n in range(1, 60):
+            q = count_max_part(n)
+            assert q[1:] == [bounded_part_count(n - t, t) for t in range(1, n + 1)], n
 
     def test_matches_enumeration(self):
         for n in range(1, 13):

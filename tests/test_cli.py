@@ -116,6 +116,27 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert b"resource limit" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--n", "-1"],
+        ["cores", "--n", "5", "--t", "0"],
+        ["cores", "--n", "-1", "--t", "2"],
+    ])
+    def test_invalid_census_input_is_one_line_error(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("snzeros: error: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_scan_ratio_without_zeros(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", "scan", "--n", "2", "--ratio"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == "type1/zero = undefined\n"
+
     def test_help_exits_0(self):
         for sub in ["eval", "sweep", "scan", "sample"]:
             proc = subprocess.run(

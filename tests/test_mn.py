@@ -89,5 +89,14 @@ class TestClassify:
         with pytest.raises(WeightMismatch):
             classify(Partition((3,)), Partition((2, 2)))
 
+    def test_is_zero_matches_evaluation(self):
+        for n in range(0, 10):
+            shapes = all_partitions(n)
+            for lam in shapes:
+                for mu in shapes:
+                    zc = classify(lam, mu)
+                    assert zc.evaluated
+                    assert zc.is_zero == (character(lam, mu) == 0), (lam, mu)
+
     def test_type_soundness(self):
         checks.check_type_soundness(max_n=12)
