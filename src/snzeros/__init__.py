@@ -28,7 +28,7 @@ from .partitions import (
     partitions_of,
     rim_hook_removals,
 )
-from .ptable import PartitionCountTable, build_p_table, load_p_table, save_p_table
+from .ptable import PartitionCountTable, build_p_table
 from .sampler import RNG_NAME, SampleStream, random_partition
 
 __all__ = [
@@ -53,9 +53,7 @@ __all__ = [
     "from_parts",
     "hook_lengths",
     "is_t_core",
-    "load_p_table",
     "partitions_of",
     "random_partition",
     "rim_hook_removals",
-    "save_p_table",
 ]

@@ -13,28 +13,17 @@ product, so a single coefficient can be extracted cheaply.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
 from .errors import ResourceLimit, SnZerosError
 from .mn import classify  # noqa: F401  module attribute the benchmark tracer patches
-from .partitions import Partition, encode, is_t_core, partitions_of, rim_hook_removals
-from .ptable import build_p_table
+from .partitions import Partition, encode, is_t_core, partitions_of, remove_rim_hooks
+from .ptable import build_p_table, env_cap
 
 DEFAULT_SCAN_CAP = 20
 DEFAULT_TYPE1_CAP = 5000
-
-
-def scan_cap() -> int:
-    """Full-scan cap; override with SNZ_SCAN_CAP."""
-    return int(os.environ.get("SNZ_SCAN_CAP", DEFAULT_SCAN_CAP))
-
-
-def type1_cap() -> int:
-    """count_type1 cap; override with SNZ_TYPE1_CAP."""
-    return int(os.environ.get("SNZ_TYPE1_CAP", DEFAULT_TYPE1_CAP))
 
 
 def ratio_decimal(num: int, den: int, digits: int = 6) -> str:
@@ -76,7 +65,7 @@ class ScanResult:
 def full_table_scan(n: int, cap: int | None = None) -> ScanResult:
     """Tally zeros, type-1 and type-2 zeros over all (lam, mu) pairs of weight n."""
     if cap is None:
-        cap = scan_cap()
+        cap = env_cap("SNZ_SCAN_CAP", DEFAULT_SCAN_CAP)
     if n > cap:
         raise ResourceLimit(f"n={n} exceeds scan cap {cap}")
     if n < 0:
@@ -92,7 +81,7 @@ def full_table_scan(n: int, cap: int | None = None) -> ScanResult:
         # below weight n, only columns with |mu| + mu_1 <= n are read again
         for t in range(1, min(m, n - m) + 1 if m < n else n + 1):
             # hooks[i]: (row index at weight m - t, sign) for each t-rim hook of row i
-            hooks = [[(index[m - t][c.word], s) for c, s in rim_hook_removals(code, t)]
+            hooks = [[(index[m - t][w], s) for w, s in remove_rim_hooks({code.word: 1}, t).items()]
                      for code in codes[m]]
             for rest in partitions_of(m - t, t):
                 below = columns[rest]
@@ -169,11 +158,13 @@ def count_max_part(n: int) -> list[int]:
 
 def count_type1(n: int, cap: int | None = None) -> int:
     """Exact number of type-1 zeros in the character table of weight n."""
+    if n < 0:
+        raise SnZerosError(f"type-1 count needs n >= 0, got n={n}")
     if cap is None:
-        cap = type1_cap()
+        cap = env_cap("SNZ_TYPE1_CAP", DEFAULT_TYPE1_CAP)
     if n > cap:
         raise ResourceLimit(f"n={n} exceeds type-1 count cap {cap}")
-    if n < 1:
+    if n == 0:
         return 0
     pcounts = build_p_table(n, cap=n + 1).counts
     q = count_max_part(n)

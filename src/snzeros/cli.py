@@ -26,8 +26,8 @@ from .montecarlo import (
     write_csv,
 )
 from .partitions import Partition, decode, encode, from_parts, parse_code
-from .ptable import build_p_table, load_p_table, save_p_table
-from .sampler import RNG_NAME, SampleStream, random_partition
+from .ptable import build_p_table
+from .sampler import SampleStream, check_u64, random_partition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,10 +73,10 @@ def _auto_workers(value: str) -> int:
     return int(value)
 
 
-def _scan_csv_row(res, seed_field: str = "") -> str:
+def _scan_csv_row(res) -> str:
     return (
-        f"{res.n},exact,exact,{res.zero_count},{res.type1_count},{res.type2_count},"
-        f"{res.z()},{res.z1()},{res.z2()},{seed_field},,"
+        f"{res.n},{res.total_entries},exact,{res.zero_count},{res.type1_count},"
+        f"{res.type2_count},{res.z()},{res.z1()},{res.z2()},,,"
     )
 
 
@@ -104,7 +104,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--index-start", type=int, default=0,
                    help="first stream index (default 0)")
-    p.add_argument("--ptable", help="partition-count cache file to load or create")
 
     p = sub.add_parser("sweep",
                        help="Monte Carlo density estimates over a range of n")
@@ -119,14 +118,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write CSV here (plus a .meta.json sidecar) instead of stdout")
 
     p = sub.add_parser("scan",
-                       help="exact full-table zero census for small n")
-    p.add_argument("--n", type=int, required=True)
+                       help="exact full-table zero census for small n, one CSV row per n")
+    p.add_argument("--n", type=parse_range, required=True, metavar="RANGE",
+                   help="n values, e.g. 4 or 3:16")
     p.add_argument("--ratio", action="store_true",
-                   help="also print the type1/zero ratio to 3 decimals on stderr")
+                   help="also print the type1/zero ratio to 3 decimals on stderr, one line per n")
 
     p = sub.add_parser("count-type1",
-                       help="exact number of type-1 zeros via generating functions")
-    p.add_argument("--n", type=int, required=True)
+                       help="exact type-1 zero counts via generating functions, one line per n")
+    p.add_argument("--n", type=parse_range, required=True, metavar="RANGE",
+                   help="n values, e.g. 5000 or 82:300")
 
     p = sub.add_parser("cores",
                        help="number of partitions of n with no hook divisible by t")
@@ -135,7 +136,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pn", help="exact partition count p(n)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ptable", help="partition-count cache file to load or create")
 
     p = sub.add_parser("encode", help="boundary word of a partition")
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True, metavar="PARTS")
@@ -145,18 +145,6 @@ def build_parser() -> _Parser:
                    help="walk-order bit string, optionally 0b-prefixed")
 
     return parser
-
-
-def _load_or_build_table(max_n: int, cache_path: str | None):
-    if cache_path and os.path.exists(cache_path):
-        table = load_p_table(cache_path)
-        if table.max_n >= max_n:
-            return table
-        print(f"cache {cache_path} only covers {table.max_n}; rebuilding", file=sys.stderr)
-    table = build_p_table(max_n)
-    if cache_path:
-        save_p_table(table, cache_path)
-    return table
 
 
 def run(argv: list[str]) -> int:
@@ -173,7 +161,11 @@ def run(argv: list[str]) -> int:
         )
 
     elif args.command == "sample":
-        table = _load_or_build_table(args.n, args.ptable)
+        check_u64("--seed", args.seed)
+        check_u64("--index-start", args.index_start)
+        if args.count > 0:
+            check_u64("last stream index", args.index_start + args.count - 1)
+        table = build_p_table(args.n)
         for i in range(args.index_start, args.index_start + args.count):
             lam = random_partition(args.n, SampleStream(args.seed, i), table)
             print(",".join(str(p) for p in lam.parts))
@@ -195,22 +187,24 @@ def run(argv: list[str]) -> int:
             write_csv(sweep(request), sys.stdout)
 
     elif args.command == "scan":
-        res = full_table_scan(args.n)
-        print(CSV_HEADER)
-        print(_scan_csv_row(res))
-        if args.ratio:  # tables with n <= 2 have no zeros
-            ratio = res.type1_over_zero() if res.zero_count else "undefined"
-            print(f"type1/zero = {ratio}", file=sys.stderr)
+        for i, n in enumerate(args.n):
+            res = full_table_scan(n)
+            if i == 0:  # an invalid first n leaves stdout empty
+                print(CSV_HEADER)
+            print(_scan_csv_row(res), flush=True)
+            if args.ratio:  # tables with n <= 2 have no zeros
+                ratio = res.type1_over_zero() if res.zero_count else "undefined"
+                print(f"type1/zero = {ratio}", file=sys.stderr)
 
     elif args.command == "count-type1":
-        print(count_type1(args.n))
+        for n in args.n:
+            print(count_type1(n), flush=True)
 
     elif args.command == "cores":
         print(count_t_cores(args.n, args.t))
 
     elif args.command == "pn":
-        table = _load_or_build_table(args.n, args.ptable)
-        print(table.counts[args.n])
+        print(build_p_table(args.n).counts[args.n])
 
     elif args.command == "encode":
         print(encode(args.lam).text())

@@ -18,7 +18,7 @@ from .partitions import (
     dimension_from_word,
     encode,
     is_t_core,
-    removable_mask,
+    remove_rim_hooks,
 )
 
 
@@ -47,23 +47,7 @@ def character(lam: Partition, mu: Partition) -> int:
     for t in mu.parts:
         if t == 1:
             break  # remaining parts are all 1: finish with dimensions
-        inner = (1 << (t - 1)) - 1
-        new: dict[int, int] = {}
-        get = new.get
-        for w, c in bag.items():
-            mask = (w >> t) & ~w
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                q = low.bit_length() - 1
-                nw = w ^ (low << t) ^ low
-                while nw & 1:
-                    nw >>= 1
-                if (t - 1 - ((w >> (q + 1)) & inner).bit_count()) & 1:
-                    new[nw] = get(nw, 0) - c
-                else:
-                    new[nw] = get(nw, 0) + c
-        bag = {w: c for w, c in new.items() if c}
+        bag = remove_rim_hooks(bag, t)
         if not bag:
             return 0
     return sum(c * dimension_from_word(w) for w, c in bag.items())

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .census import ratio_decimal
-from .errors import InvalidMode, ResourceLimit
+from .errors import InvalidMode, ResourceLimit, SnZerosError
 from .mn import classify
 from .ptable import PartitionCountTable, build_p_table, ptable_cap
-from .sampler import RNG_NAME, SampleStream, derive_seed, random_partition
+from .sampler import RNG_NAME, SampleStream, check_u64, derive_seed, random_partition
 
 MODES = ("full-eval", "types-only")
 AUTO_FULL_EVAL_MAX_N = 300
@@ -33,6 +33,15 @@ CSV_HEADER = (
     "n,samples,mode,count_zero,count_type1,count_type2,"
     "z_hat,z1_hat,z2_hat,master_seed,rng_name,elapsed_seconds"
 )
+
+
+def _check_inputs(n_values: Iterable[int], samples: int, master_seed: int) -> None:
+    if samples < 1:
+        raise SnZerosError(f"need at least 1 sample per n, got {samples}")
+    for n in n_values:
+        if n < 0:
+            raise SnZerosError(f"estimates need n >= 0, got n={n}")
+    check_u64("master seed", master_seed)
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,9 @@ class EstimateRequest:
     master_seed: int
     mode: str = "auto"
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        _check_inputs(self.n_values, self.samples_per_n, self.master_seed)
 
     def mode_for(self, n: int) -> str:
         if self.mode == "auto":
@@ -109,9 +121,9 @@ def _tally_block(
 _POOL_TABLE: PartitionCountTable | None = None
 
 
-def _pool_init(max_n: int) -> None:
+def _pool_init(table: PartitionCountTable) -> None:
     global _POOL_TABLE
-    _POOL_TABLE = build_p_table(max_n)
+    _POOL_TABLE = table
 
 
 def _pool_tally(args: tuple[int, int, int, int, bool]) -> tuple[int, int, int]:
@@ -130,6 +142,7 @@ def estimate(
     """Estimate densities at one n from `samples` independent uniform pairs."""
     if mode not in MODES:
         raise InvalidMode(f"mode must be one of {MODES}, got {mode!r}")
+    _check_inputs((n,), samples, master_seed)
     if table is None:
         table = build_p_table(n)
     elif table.max_n < n:
@@ -144,8 +157,9 @@ def estimate(
             (n, master_seed, start, min(block, samples - start), full_eval)
             for start in range(0, samples, block)
         ]
+        # fork hands the table to the workers without pickling or rebuilding it
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_pool_init, initargs=(table.max_n,)) as pool:
+        with ctx.Pool(workers, initializer=_pool_init, initargs=(table,)) as pool:
             parts = pool.map(_pool_tally, jobs)
         zero = sum(p[0] for p in parts)
         type1 = sum(p[1] for p in parts)

@@ -144,37 +144,47 @@ def hook_lengths(lam: Partition) -> list[int]:
     return sorted(hooks)
 
 
-def removable_mask(word: int, t: int) -> int:
-    """Bit q is set iff flipping the (1 at q+t, 0 at q) pair removes a t-rim-hook."""
-    return (word >> t) & ~word
-
-
 def is_t_core(code: BoundaryCode, t: int) -> bool:
     """True iff no rim hook of size t can be removed (no hook divisible by t)."""
-    return removable_mask(code.word, t) == 0
+    return ((code.word >> t) & ~code.word) == 0
+
+
+def remove_rim_hooks(bag: dict[int, int], t: int) -> dict[int, int]:
+    """One Murnaghan-Nakayama step on a signed sum of canonical words.
+
+    Every t-rim hook of every word in the bag is removed: flip a 1-bit and
+    the 0-bit t walk steps later, with sign -1 to the number of 0-bits
+    strictly between them.  Equal shapes are merged and zero coefficients
+    dropped.  The removals of one word are inserted by descending walk index
+    of the flipped 1-bit.
+    """
+    inner = (1 << (t - 1)) - 1
+    new: dict[int, int] = {}
+    get = new.get
+    for w, c in bag.items():
+        mask = (w >> t) & ~w  # bit q set: 1-bit at q + t, 0-bit at q
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            q = low.bit_length() - 1
+            nw = w ^ (low << t) ^ low
+            while nw & 1:
+                nw >>= 1
+            if (t - 1 - ((w >> (q + 1)) & inner).bit_count()) & 1:
+                new[nw] = get(nw, 0) - c
+            else:
+                new[nw] = get(nw, 0) + c
+    return {w: c for w, c in new.items() if c}
 
 
 def rim_hook_removals(code: BoundaryCode, t: int) -> list[tuple[BoundaryCode, int]]:
-    """All single t-rim-hook removals with their signs.
+    """All single t-rim-hook removals with their signs (see remove_rim_hooks).
 
-    Each removal flips a 1-bit and the 0-bit t walk steps later; the sign is
-    -1 to the number of 0-bits strictly between the flipped pair.  Results are
-    ordered by ascending walk index of the flipped 1-bit.
+    Results are ordered by ascending walk index of the flipped 1-bit.  The
+    removals of one shape are distinct shapes, so none merge or cancel.
     """
-    word = code.word
-    mask = removable_mask(word, t)
-    qs = []
-    while mask:
-        low = mask & -mask
-        qs.append(low.bit_length() - 1)
-        mask ^= low
-    inner = (1 << (t - 1)) - 1
-    out = []
-    for q in reversed(qs):  # descending bit position = ascending walk index
-        zeros_between = (t - 1) - ((word >> (q + 1)) & inner).bit_count()
-        sign = -1 if zeros_between & 1 else 1
-        out.append((BoundaryCode.canonical(word ^ (1 << (q + t)) ^ (1 << q)), sign))
-    return out
+    bag = remove_rim_hooks({code.word: 1}, t)
+    return [(BoundaryCode(w, w.bit_length()), s) for w, s in reversed(bag.items())]
 
 
 def dimension_from_word(word: int) -> int:

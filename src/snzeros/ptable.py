@@ -1,4 +1,4 @@
-"""Exact partition-count table p(0..maxN) and its optional disk cache.
+"""Exact partition-count table p(0..maxN).
 
 The table is built once per process with Euler's pentagonal-number
 recurrence and shared read-only afterwards; every count is an exact
@@ -10,16 +10,28 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import ResourceLimit
+from .errors import ResourceLimit, SnZerosError
 
 DEFAULT_PTABLE_CAP = 100_000
-_CACHE_MAGIC = "snzeros-ptable"
-_CACHE_VERSION = 1
+
+
+def env_cap(name: str, default: int) -> int:
+    """A size cap from environment variable `name`, or `default` when it is unset."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        cap = int(text)
+    except ValueError:
+        raise SnZerosError(f"{name}={text!r} is not an integer") from None
+    if cap < 0:
+        raise SnZerosError(f"{name}={cap} is negative")
+    return cap
 
 
 def ptable_cap() -> int:
     """Configured maxN cap; override with the SNZ_PTABLE_CAP environment variable."""
-    return int(os.environ.get("SNZ_PTABLE_CAP", DEFAULT_PTABLE_CAP))
+    return env_cap("SNZ_PTABLE_CAP", DEFAULT_PTABLE_CAP)
 
 
 @dataclass(frozen=True)
@@ -35,6 +47,8 @@ def build_p_table(max_n: int, cap: int | None = None) -> PartitionCountTable:
 
     p(m) = sum_{k>=1} (-1)^(k+1) [ p(m - k(3k-1)/2) + p(m - k(3k+1)/2) ].
     """
+    if max_n < 0:
+        raise SnZerosError(f"partition counts need n >= 0, got n={max_n}")
     if cap is None:
         cap = ptable_cap()
     if max_n > cap:
@@ -56,35 +70,3 @@ def build_p_table(max_n: int, cap: int | None = None) -> PartitionCountTable:
             k += 1
         counts[m] = total
     return PartitionCountTable(max_n, tuple(counts))
-
-
-def save_p_table(table: PartitionCountTable, path: str) -> None:
-    """Write the table as a versioned decimal-text dump."""
-    with open(path, "w") as fh:
-        fh.write(f"{_CACHE_MAGIC} {_CACHE_VERSION}\n")
-        fh.write(f"max_n={table.max_n}\n")
-        for c in table.counts:
-            fh.write(f"{c}\n")
-
-
-def load_p_table(path: str) -> PartitionCountTable:
-    """Load a cached table, verifying the header and spot-checking the counts.
-
-    The prefix up to min(max_n, 100) is recomputed and compared, which in
-    particular verifies p(50) and p(100) when present.
-    """
-    with open(path) as fh:
-        header = fh.readline().split()
-        if header != [_CACHE_MAGIC, str(_CACHE_VERSION)]:
-            raise ValueError(f"{path}: not a version-{_CACHE_VERSION} partition-count cache")
-        line = fh.readline().strip()
-        if not line.startswith("max_n="):
-            raise ValueError(f"{path}: missing max_n header")
-        max_n = int(line[len("max_n="):])
-        counts = tuple(int(fh.readline()) for _ in range(max_n + 1))
-    table = PartitionCountTable(max_n, counts)
-    check_n = min(max_n, 100)
-    fresh = build_p_table(check_n, cap=max(check_n, ptable_cap()))
-    if table.counts[: check_n + 1] != fresh.counts:
-        raise ValueError(f"{path}: cached counts fail recomputation check")
-    return table

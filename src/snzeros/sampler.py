@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ResourceLimit
+from .errors import ResourceLimit, SnZerosError
 from .partitions import Partition
 from .ptable import PartitionCountTable
 
@@ -38,6 +38,12 @@ class SampleStream:
 
     master_seed: int
     index: int
+
+
+def check_u64(name: str, value: int) -> None:
+    """Reject a seed or stream index that a stream could not use exactly as given."""
+    if not 0 <= value <= _MASK64:
+        raise SnZerosError(f"{name} must be in [0, 2^64), got {value}")
 
 
 def stream_rng(stream: SampleStream) -> random.Random:

@@ -27,7 +27,7 @@ from snzeros import (
 )
 from snzeros.montecarlo import estimate
 
-from oracles import naive_character
+from oracles import border_strip_removals, naive_character
 
 
 def check_round_trip(max_n: int = 20) -> None:
@@ -53,8 +53,12 @@ def check_hook_bitpair_identity(max_n: int = 15) -> None:
             assert gaps == hook_lengths(lam), f"hook identity failed for {parts}"
 
 
-def check_core_equivalence(max_n: int = 15) -> None:
-    """t-core test == no hook divisible by t == no t-rim-hook removable."""
+def check_core_equivalence(max_n: int = 15, oracle_max_n: int = 12) -> None:
+    """t-core test == no hook divisible by t == no t-rim-hook removable.
+
+    Up to oracle_max_n, each removal's shape and sign must also match the
+    cell-set oracle, with sign (-1)^height.
+    """
     for n in range(max_n + 1):
         for parts in partitions_of(n):
             lam = Partition(parts)
@@ -68,6 +72,10 @@ def check_core_equivalence(max_n: int = 15) -> None:
                 for out_code, sign in removals:
                     assert sign in (1, -1)
                     assert decode(out_code).n == n - t, f"weight not conserved {parts} t={t}"
+                if n <= oracle_max_n:
+                    got = sorted((decode(c).parts, s) for c, s in removals)
+                    want = sorted((k, (-1) ** h) for k, h in border_strip_removals(parts, t))
+                    assert got == want, f"removals of {parts} t={t}: {got} != oracle {want}"
 
 
 def check_dimension_base_case(max_n: int = 12) -> None:

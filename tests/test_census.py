@@ -166,6 +166,11 @@ class TestMaxPartCounts:
 class TestCountType1:
     def test_n1_has_no_type1_zeros(self):
         assert count_type1(1) == 0
+        assert count_type1(0) == 0
+
+    def test_negative_n(self):
+        with pytest.raises(SnZerosError):
+            count_type1(-1)
 
     def test_small_values_match_scan(self):
         for n in range(3, 9):

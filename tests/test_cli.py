@@ -58,7 +58,19 @@ class TestCommands:
         assert status == 0
         header, row = out.splitlines()
         fields = row.split(",")
-        assert fields[0:6] == ["4", "exact", "exact", "4", "3", "3"]
+        assert fields[0:6] == ["4", "25", "exact", "4", "3", "3"]
+
+    def test_scan_range_matches_single_n(self, capsys):
+        _, out = invoke(capsys, "scan", "--n", "3:5")
+        header, *rows = out.splitlines()
+        singles = [invoke(capsys, "scan", "--n", str(n))[1].splitlines() for n in (3, 4, 5)]
+        assert [header] * 3 == [s[0] for s in singles]
+        assert rows == [s[1] for s in singles]
+
+    def test_count_type1_range_matches_single_n(self, capsys):
+        _, out = invoke(capsys, "count-type1", "--n", "3:5")
+        singles = [invoke(capsys, "count-type1", "--n", str(n))[1] for n in (3, 4, 5)]
+        assert out.splitlines() == singles
 
     def test_sample_is_seed_stable(self, capsys):
         _, first = invoke(capsys, "sample", "--n", "20", "--count", "3", "--seed", "9")
@@ -84,12 +96,6 @@ class TestCommands:
         assert status == 0
         assert out.read_text().count("\n") == 2
         assert (tmp_path / "sweep.csv.meta.json").exists()
-
-    def test_ptable_cache_flag(self, tmp_path, capsys):
-        cache = tmp_path / "p.txt"
-        assert invoke(capsys, "pn", "--n", "30", "--ptable", str(cache))[1] == "5604"
-        assert cache.exists()
-        assert invoke(capsys, "pn", "--n", "30", "--ptable", str(cache))[1] == "5604"
 
     def test_identical_sweeps_byte_identical(self, capsys):
         args = ["sweep", "--n", "8,9", "--samples", "100", "--seed", "11", "--mode", "full-eval"]
@@ -120,12 +126,22 @@ class TestExitCodes:
         ["scan", "--n", "-1"],
         ["cores", "--n", "5", "--t", "0"],
         ["cores", "--n", "-1", "--t", "2"],
+        ["sample", "--n", "5", "--index-start", "-1"],
+        ["sweep", "--n", "5", "--samples", "0"],
+        ["sweep", "--n", "5", "--samples", "0", "--threads", "2"],
+        ["sweep", "--n", "-3", "--samples", "5"],
+        ["pn", "--n", "-1"],
+        ["sample", "--n", "-2"],
+        ["count-type1", "--n", "-1"],
+        ["sample", "--n", "5", "--seed", "18446744073709551616"],
+        ["sample", "--n", "5", "--seed", "-1"],
     ])
     def test_invalid_census_input_is_one_line_error(self, argv):
         proc = subprocess.run(
             [sys.executable, "-m", "snzeros.cli", *argv], capture_output=True, text=True
         )
         assert proc.returncode == 1
+        assert proc.stdout == ""
         assert proc.stderr.startswith("snzeros: error: ")
         assert proc.stderr.count("\n") == 1
 

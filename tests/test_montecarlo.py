@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from snzeros import InvalidMode, build_p_table
+from snzeros import InvalidMode, SnZerosError, build_p_table
 from snzeros.census import count_type1, full_table_scan, ratio_decimal
 from snzeros.montecarlo import (
     CSV_HEADER,
@@ -32,6 +32,15 @@ class TestEstimate:
     def test_invalid_mode(self):
         with pytest.raises(InvalidMode):
             estimate(5, 10, 0, mode="exactly")
+
+    @pytest.mark.parametrize("n, samples, seed", [
+        (-1, 10, 0), (5, 0, 0), (5, 10, -1), (5, 10, 2**64),
+    ])
+    def test_invalid_inputs(self, n, samples, seed):
+        with pytest.raises(SnZerosError):
+            estimate(n, samples, seed, mode="types-only")
+        with pytest.raises(SnZerosError):
+            EstimateRequest(n_values=(3, n), samples_per_n=samples, master_seed=seed)
 
     def test_chain_in_full_eval(self):
         est = estimate(15, 2000, 31, mode="full-eval")

@@ -7,11 +7,12 @@ from snzeros import (
     Partition,
     ResourceLimit,
     SampleStream,
+    SnZerosError,
     build_p_table,
     partitions_of,
     random_partition,
 )
-from snzeros.ptable import load_p_table, save_p_table
+from snzeros.census import count_type1, full_table_scan
 from snzeros.sampler import derive_seed, stream_rng, uniform_below
 
 from oracles import bounded_part_count
@@ -35,21 +36,20 @@ class TestPartitionCountTable:
         with pytest.raises(ResourceLimit):
             build_p_table(101, cap=100)
 
-    def test_cache_round_trip(self, tmp_path):
-        table = build_p_table(120)
-        path = tmp_path / "ptable.txt"
-        save_p_table(table, str(path))
-        assert load_p_table(str(path)) == table
+    def test_negative_n(self):
+        with pytest.raises(SnZerosError):
+            build_p_table(-1)
 
-    def test_cache_detects_corruption(self, tmp_path):
-        table = build_p_table(60)
-        path = tmp_path / "ptable.txt"
-        save_p_table(table, str(path))
-        text = path.read_text().splitlines()
-        text[2 + 50] = str(table.counts[50] + 1)  # corrupt p(50)
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ValueError):
-            load_p_table(str(path))
+    @pytest.mark.parametrize("var, call", [
+        ("SNZ_PTABLE_CAP", lambda: build_p_table(5)),
+        ("SNZ_SCAN_CAP", lambda: full_table_scan(5)),
+        ("SNZ_TYPE1_CAP", lambda: count_type1(5)),
+    ])
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+    def test_bad_cap_variable(self, monkeypatch, var, call, value):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(SnZerosError, match=var):
+            call()
 
 
 class TestStreams:
