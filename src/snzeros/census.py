@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import add, or_
 
 from .errors import ResourceLimit, SnZerosError
 from .mn import classify  # noqa: F401  module attribute the benchmark tracer patches
 from .partitions import Partition, encode, is_t_core, partitions_of, remove_rim_hooks
-from .ptable import build_p_table, env_cap
+from .ptable import build_p_table, env_cap, pentagonal_offsets
 
 DEFAULT_SCAN_CAP = 20
 DEFAULT_TYPE1_CAP = 5000
@@ -28,8 +28,6 @@ DEFAULT_TYPE1_CAP = 5000
 
 def ratio_decimal(num: int, den: int, digits: int = 6) -> str:
     """num/den as a fixed-point decimal string, round half to even."""
-    if den == 0:
-        raise ZeroDivisionError("ratio_decimal with zero denominator")
     scaled = num * 10**digits
     q, r = divmod(scaled, den)
     if 2 * r > den or (2 * r == den and q & 1):
@@ -95,44 +93,32 @@ def full_table_scan(n: int, cap: int | None = None) -> ScanResult:
     return ScanResult(n, len(codes[n]) ** 2, zero, type1, type2)
 
 
-def _pentagonal_coeffs(max_deg: int) -> list[tuple[int, int]]:
-    """Nonzero coefficients (degree, +-1) of the Euler product up to max_deg."""
-    out = [(0, 1)]
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        if g1 > max_deg:
-            break
-        sign = -1 if k & 1 else 1
-        out.append((g1, sign))
-        g2 = k * (3 * k + 1) // 2
-        if g2 <= max_deg:
-            out.append((g2, sign))
-        k += 1
-    return out
-
-
 def count_t_cores(n: int, t: int, pcounts: tuple[int, ...] | None = None) -> int:
     """c_t(n), partitions of n with no hook divisible by t, via E(y)^t.
 
     With g = E^t and E sparse, m*g_m = sum_j ((t+1)*j - m) E_j g_{m-j}; the
-    division is exact.  Then c_t(n) = sum_j g_j * p(n - t*j), p = pcounts.
+    division is exact.  Then c_t(n) = sum_j g_j * p(n - t*j), p = pcounts,
+    built here under the partition-table cap when not given.
     """
     if n < 0 or t < 1:
         raise SnZerosError(f"c_t(n) needs n >= 0 and t >= 1, got n={n}, t={t}")
     if pcounts is None:
-        pcounts = build_p_table(n, cap=n + 1).counts
+        pcounts = build_p_table(n).counts
     deg = n // t
-    euler = _pentagonal_coeffs(deg)[1:]  # skip the constant term
+    odd, even = pentagonal_offsets(deg)  # E_j = -1 at odd offsets, +1 at even
+    t1 = t + 1
     g = [0] * (deg + 1)
     g[0] = 1
     for m in range(1, deg + 1):
         acc = 0
-        for j, e in euler:
+        for j in even:
             if j > m:
                 break
-            term = ((t + 1) * j - m) * g[m - j]
-            acc += term if e > 0 else -term
+            acc += (t1 * j - m) * g[m - j]
+        for j in odd:
+            if j > m:
+                break
+            acc -= (t1 * j - m) * g[m - j]
         q, r = divmod(acc, m)
         if r:
             raise SnZerosError(f"inexact division in E^{t} coefficient {m}")
@@ -144,14 +130,17 @@ def count_max_part(n: int) -> list[int]:
     """q[t] = number of partitions of n with largest part exactly t, 1 <= t <= n.
 
     q(n,t) counts partitions of n-t into parts <= t, read off a rolling
-    bounded-part array; step t updates only the indices m <= n - t still read.
+    bounded-part array; step t updates only the indices m <= n - t still read,
+    in blocks of t indices that each read only indices below the block.
     """
     bounded = [0] * (n + 1)  # partitions with parts <= t, updated in place
     bounded[0] = 1
     q = [0] * (n + 1)
     for t in range(1, n + 1):
-        for m in range(t, n - t + 1):
-            bounded[m] += bounded[m - t]
+        end = n - t + 1
+        for lo in range(t, end, t):
+            hi = min(lo + t, end)
+            bounded[lo:hi] = map(add, bounded[lo:hi], bounded[lo - t:hi - t])
         q[t] = bounded[n - t]
     return q
 

@@ -44,12 +44,8 @@ def parse_partition(text: str) -> Partition:
     if text.strip() == "":
         return Partition(())
     try:
-        parts = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from exc
-    try:
-        return from_parts(parts)
-    except SnZerosError as exc:
+        return from_parts(int(x) for x in text.split(","))
+    except (ValueError, SnZerosError) as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from exc
 
 
@@ -163,8 +159,9 @@ def run(argv: list[str]) -> int:
     elif args.command == "sample":
         check_u64("--seed", args.seed)
         check_u64("--index-start", args.index_start)
-        if args.count > 0:
-            check_u64("last stream index", args.index_start + args.count - 1)
+        if args.count < 1:
+            raise SnZerosError(f"--count must be at least 1, got {args.count}")
+        check_u64("last stream index", args.index_start + args.count - 1)
         table = build_p_table(args.n)
         for i in range(args.index_start, args.index_start + args.count):
             lam = random_partition(args.n, SampleStream(args.seed, i), table)

@@ -17,7 +17,7 @@ import json
 import multiprocessing
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .census import ratio_decimal
@@ -35,9 +35,11 @@ CSV_HEADER = (
 )
 
 
-def _check_inputs(n_values: Iterable[int], samples: int, master_seed: int) -> None:
+def _check_inputs(n_values: Iterable[int], samples: int, master_seed: int, workers: int) -> None:
     if samples < 1:
         raise SnZerosError(f"need at least 1 sample per n, got {samples}")
+    if workers < 1:
+        raise SnZerosError(f"need at least 1 worker, got {workers}")
     for n in n_values:
         if n < 0:
             raise SnZerosError(f"estimates need n >= 0, got n={n}")
@@ -55,7 +57,7 @@ class EstimateRequest:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        _check_inputs(self.n_values, self.samples_per_n, self.master_seed)
+        _check_inputs(self.n_values, self.samples_per_n, self.master_seed, self.workers)
 
     def mode_for(self, n: int) -> str:
         if self.mode == "auto":
@@ -89,7 +91,10 @@ class DensityEstimate:
 
     def csv_row(self) -> str:
         if self.error is not None:
-            return f"{self.n},{self.samples},{self.mode},,,,,,,{self.master_seed},error:{self.error},"
+            msg = f"error:{self.error}"
+            if any(c in msg for c in ',"\r\n'):  # quote as csv.writer would
+                msg = '"' + msg.replace('"', '""') + '"'
+            return f"{self.n},{self.samples},{self.mode},,,,,,,{self.master_seed},{msg},"
         cz = "" if self.count_zero is None else str(self.count_zero)
         return (
             f"{self.n},{self.samples},{self.mode},{cz},{self.count_type1},"
@@ -142,14 +147,14 @@ def estimate(
     """Estimate densities at one n from `samples` independent uniform pairs."""
     if mode not in MODES:
         raise InvalidMode(f"mode must be one of {MODES}, got {mode!r}")
-    _check_inputs((n,), samples, master_seed)
+    _check_inputs((n,), samples, master_seed, workers)
     if table is None:
         table = build_p_table(n)
     elif table.max_n < n:
         raise ResourceLimit(f"table covers max_n={table.max_n} < n={n}")
     full_eval = mode == "full-eval"
     t0 = time.monotonic()
-    if workers <= 1:
+    if workers == 1:
         zero, type1, type2 = _tally_block(table, n, master_seed, 0, samples, full_eval)
     else:
         block = -(-samples // workers)
@@ -161,9 +166,7 @@ def estimate(
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers, initializer=_pool_init, initargs=(table,)) as pool:
             parts = pool.map(_pool_tally, jobs)
-        zero = sum(p[0] for p in parts)
-        type1 = sum(p[1] for p in parts)
-        type2 = sum(p[2] for p in parts)
+        zero, type1, type2 = map(sum, zip(*parts))
     elapsed = time.monotonic() - t0
     return DensityEstimate(
         n=n,
@@ -229,13 +232,7 @@ def request_metadata(request: EstimateRequest, version: str) -> str:
             "tool": "snzeros",
             "version": version,
             "rng_name": RNG_NAME,
-            "request": {
-                "n_values": list(request.n_values),
-                "samples_per_n": request.samples_per_n,
-                "master_seed": request.master_seed,
-                "mode": request.mode,
-                "workers": request.workers,
-            },
+            "request": asdict(request),
         },
         indent=2,
     )

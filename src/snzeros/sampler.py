@@ -105,16 +105,15 @@ def random_partition(n: int, stream: SampleStream, table: PartitionCountTable) -
     m = n
     while m > 0:
         target = uniform_below(rng, m * p[m])
-        acc = 0
         s = 0
-        while True:
+        while True:  # subtract whole groups until target falls inside one
             s += 1
             group = sigma[s] * p[m - s]
-            if target < acc + group:
+            if target < group:
                 break
-            acc += group
+            target -= group
         # inside group s: divisor d with weight d * p(m-s)
-        u = (target - acc) // p[m - s]
+        u = target // p[m - s]
         cum = 0
         for d in _divisors(s):
             cum += d

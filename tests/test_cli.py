@@ -1,9 +1,12 @@
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from snzeros.cli import parse_partition, parse_range, run
+from snzeros.cli import main, parse_partition, parse_range, run
 
 
 def invoke(capsys, *argv):
@@ -122,6 +125,14 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert b"resource limit" in proc.stderr
 
+    def test_cores_table_is_capped(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", "cores", "--n", str(2**64), "--t", "1"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("snzeros: resource limit: ")
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--n", "-1"],
         ["cores", "--n", "5", "--t", "0"],
@@ -135,6 +146,10 @@ class TestExitCodes:
         ["count-type1", "--n", "-1"],
         ["sample", "--n", "5", "--seed", "18446744073709551616"],
         ["sample", "--n", "5", "--seed", "-1"],
+        ["sample", "--n", "5", "--count", "-3"],
+        ["sample", "--n", "5", "--count", "0"],
+        ["sweep", "--n", "5", "--samples", "5", "--threads", "-2"],
+        ["sweep", "--n", "5", "--samples", "5", "--threads", "0"],
     ])
     def test_invalid_census_input_is_one_line_error(self, argv):
         proc = subprocess.run(
@@ -160,3 +175,64 @@ class TestExitCodes:
             )
             assert proc.returncode == 0
             assert b"--" in proc.stdout
+
+
+# a sample count or a range length has no cap, so those values stay small
+_SMALL = st.integers(-3, 12).map(str)
+_INT = st.one_of(_SMALL, st.sampled_from(["18446744073709551616", "-18446744073709551616", "x", ""]))
+_RANGE = st.one_of(
+    _SMALL,
+    st.builds("{}:{}".format, _SMALL, _SMALL),
+    st.builds("{}:{}:{}".format, _SMALL, _SMALL, _SMALL),
+    st.lists(_SMALL, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["1:2:3:4", "a:b", ""]),
+)
+_PARTS = st.lists(st.integers(-1, 5), max_size=4).map(lambda ps: ",".join(map(str, ps)))
+# command -> (required flags, optional flags); flag -> value strategy, or None for a switch
+_OPTIONS = {
+    "eval": ({"--lambda": _PARTS, "--mu": _PARTS}, {}),
+    "classify": ({"--lambda": _PARTS, "--mu": _PARTS}, {"--no-eval": None}),
+    "sample": ({"--n": _INT}, {"--count": _SMALL, "--seed": _INT, "--index-start": _INT}),
+    "sweep": ({"--n": _RANGE, "--samples": _SMALL},
+              {"--seed": _INT, "--threads": st.sampled_from(["-2", "0", "1", "2", "two"]),
+               "--mode": st.sampled_from(["full-eval", "types-only", "auto", "exact"])}),
+    "scan": ({"--n": _RANGE}, {"--ratio": None}),
+    "count-type1": ({"--n": _RANGE}, {}),
+    "cores": ({"--n": _INT, "--t": _INT}, {}),
+    "pn": ({"--n": _INT}, {}),
+    "encode": ({"--lambda": _PARTS}, {}),
+    "decode": ({"--code": st.text("01b", max_size=8)}, {}),
+    "bogus": ({}, {"--n": _INT}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    required, optional = _OPTIONS[command]
+    # a required flag is sometimes left out, an optional one sometimes repeated
+    flags = [f for f in required if draw(st.integers(0, 9))]
+    flags += draw(st.lists(st.sampled_from(sorted(optional)), max_size=3)) if optional else []
+    argv = [command]
+    for flag in flags:
+        value = {**required, **optional}[flag]
+        argv += [flag] if value is None else [flag, draw(value)]
+    return argv
+
+
+class TestFuzz:
+    @given(argv=_argv())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_argv_exits_cleanly(self, monkeypatch, argv):
+        # caps keep every table, scan and series small
+        monkeypatch.setenv("SNZ_PTABLE_CAP", "200")
+        monkeypatch.setenv("SNZ_SCAN_CAP", "6")
+        monkeypatch.setenv("SNZ_TYPE1_CAP", "40")
+        monkeypatch.setattr(sys, "argv", ["snzeros", *argv])
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err), \
+                pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -6,6 +7,7 @@ from snzeros import InvalidMode, SnZerosError, build_p_table
 from snzeros.census import count_type1, full_table_scan, ratio_decimal
 from snzeros.montecarlo import (
     CSV_HEADER,
+    DensityEstimate,
     EstimateRequest,
     estimate,
     request_metadata,
@@ -41,6 +43,24 @@ class TestEstimate:
             estimate(n, samples, seed, mode="types-only")
         with pytest.raises(SnZerosError):
             EstimateRequest(n_values=(3, n), samples_per_n=samples, master_seed=seed)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_invalid_worker_count(self, workers):
+        with pytest.raises(SnZerosError, match="worker"):
+            estimate(5, 10, 0, mode="types-only", workers=workers)
+        with pytest.raises(SnZerosError, match="worker"):
+            EstimateRequest(n_values=(5,), samples_per_n=10, master_seed=0, workers=workers)
+
+    def test_error_row_quotes_its_message(self):
+        est = DensityEstimate(n=7, samples=10, mode="types-only", count_zero=None,
+                              count_type1=0, count_type2=0, master_seed=3,
+                              error='cap 5, see "SNZ_PTABLE_CAP"')
+        (fields,) = csv.reader([est.csv_row()])
+        assert len(fields) == len(CSV_HEADER.split(",")) == 12
+        assert fields[10] == 'error:cap 5, see "SNZ_PTABLE_CAP"'
+        plain = DensityEstimate(n=7, samples=10, mode="types-only", count_zero=None,
+                                count_type1=0, count_type2=0, master_seed=3, error="too big")
+        assert plain.csv_row() == "7,10,types-only,,,,,,,3,error:too big,"
 
     def test_chain_in_full_eval(self):
         est = estimate(15, 2000, 31, mode="full-eval")

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -13,9 +14,19 @@ from snzeros import (
     random_partition,
 )
 from snzeros.census import count_type1, full_table_scan
+from snzeros.ptable import pentagonal_offsets
 from snzeros.sampler import derive_seed, stream_rng, uniform_below
 
 from oracles import bounded_part_count
+
+
+def _sha256_lines(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def table_50000():
+    return build_p_table(50000)
 
 
 class TestPartitionCountTable:
@@ -26,6 +37,21 @@ class TestPartitionCountTable:
         table = build_p_table(50)
         assert table.counts[5] == 7
         assert table.counts[50] == 204226
+
+    def test_p1000(self):
+        assert build_p_table(1000).counts[1000] == 24061467864032622473692149727991
+
+    def test_frozen_digest_n50000(self, table_50000):
+        # recorded with the per-term k*(3k+-1)/2 recurrence
+        assert _sha256_lines(map(str, table_50000.counts)) == (
+            "272530b0ef33e0d9e7afc5dedaa04f2b902913fd33d1c8c7ef78e8cbf6ce356d"
+        )
+
+    def test_pentagonal_offsets(self):
+        # k = 1, 2, 3, 4: k(3k-1)/2 = 1, 5, 12, 22 and k(3k+1)/2 = 2, 7, 15, 26
+        assert pentagonal_offsets(22) == ([1, 2, 12, 15], [5, 7, 22])
+        assert pentagonal_offsets(0) == ([], [])
+        assert pentagonal_offsets(1) == ([1], [])
 
     def test_matches_bounded_part_oracle(self):
         table = build_p_table(200)
@@ -86,6 +112,17 @@ class TestRandomPartition:
             a = random_partition(30, SampleStream(5, i), table)
             b = random_partition(30, SampleStream(5, i), table)
             assert a == b
+
+    @pytest.mark.parametrize("n, digest", [
+        (1000, "cbe04f077f6d1f93636ac26302009484cff1c4155bb46102b76b42dc58af8fc5"),
+        (20000, "c046dc6c1b708db380d2763b0ac4a00b22ca415844c4a57de2d933ba116fc16b"),
+    ])
+    def test_frozen_stream_digest(self, table_50000, n, digest):
+        # draws of streams 0..19 under master seed 7, recorded before the
+        # subtraction scan; any change to a draw changes the digest
+        lines = (",".join(map(str, random_partition(n, SampleStream(7, i), table_50000).parts))
+                 for i in range(20))
+        assert _sha256_lines(lines) == digest
 
     def test_table_must_cover_n(self):
         with pytest.raises(ResourceLimit):
