@@ -17,22 +17,18 @@ from .errors import (
 )
 from .mn import ZeroClass, character, classify
 from .partitions import (
-    BoundaryCode,
     Partition,
     decode,
     dimension,
     encode,
     from_parts,
-    hook_lengths,
     is_t_core,
     partitions_of,
-    rim_hook_removals,
 )
 from .ptable import PartitionCountTable, build_p_table
 from .sampler import RNG_NAME, SampleStream, random_partition
 
 __all__ = [
-    "BoundaryCode",
     "InvalidMode",
     "NonPositivePart",
     "NotWeaklyDecreasing",
@@ -51,9 +47,7 @@ __all__ = [
     "dimension",
     "encode",
     "from_parts",
-    "hook_lengths",
     "is_t_core",
     "partitions_of",
     "random_partition",
-    "rim_hook_removals",
 ]

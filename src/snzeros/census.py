@@ -68,10 +68,10 @@ def full_table_scan(n: int, cap: int | None = None) -> ScanResult:
         raise ResourceLimit(f"n={n} exceeds scan cap {cap}")
     if n < 0:
         raise SnZerosError(f"scan needs n >= 0, got n={n}")
-    codes = [[encode(Partition(p)) for p in partitions_of(m)] for m in range(n + 1)]
-    index = [{c.word: i for i, c in enumerate(row)} for row in codes]
+    words = [[encode(Partition(p)) for p in partitions_of(m)] for m in range(n + 1)]
+    index = [{w: i for i, w in enumerate(row)} for row in words]
     # core[t] has bit i set iff row i of weight n has no hook divisible by t
-    core = [0] + [sum(1 << i for i, c in enumerate(codes[n]) if is_t_core(c, t))
+    core = [0] + [sum(1 << i for i, w in enumerate(words[n]) if is_t_core(w, t))
                   for t in range(1, n + 1)]
     columns: dict[tuple[int, ...], list[int]] = {(): [1]}
     zero = type1 = type2 = 0
@@ -79,8 +79,8 @@ def full_table_scan(n: int, cap: int | None = None) -> ScanResult:
         # below weight n, only columns with |mu| + mu_1 <= n are read again
         for t in range(1, min(m, n - m) + 1 if m < n else n + 1):
             # hooks[i]: (row index at weight m - t, sign) for each t-rim hook of row i
-            hooks = [[(index[m - t][w], s) for w, s in remove_rim_hooks({code.word: 1}, t).items()]
-                     for code in codes[m]]
+            hooks = [[(index[m - t][v], s) for v, s in remove_rim_hooks({w: 1}, t).items()]
+                     for w in words[m]]
             for rest in partitions_of(m - t, t):
                 below = columns[rest]
                 col = [sum(s * below[j] for j, s in h) for h in hooks]
@@ -90,7 +90,7 @@ def full_table_scan(n: int, cap: int | None = None) -> ScanResult:
                 zero += col.count(0)
                 type1 += core[t].bit_count()
                 type2 += reduce(or_, [core[part] for part in {t, *rest}]).bit_count()
-    return ScanResult(n, len(codes[n]) ** 2, zero, type1, type2)
+    return ScanResult(n, len(words[n]) ** 2, zero, type1, type2)
 
 
 def count_t_cores(n: int, t: int, pcounts: tuple[int, ...] | None = None) -> int:

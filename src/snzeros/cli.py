@@ -59,6 +59,8 @@ def parse_range(text: str) -> list[int]:
         step = int(pieces[2]) if len(pieces) == 3 else 1
         if step < 1:
             raise argparse.ArgumentTypeError("range step must be >= 1")
+        if a > b:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return list(range(a, b + 1, step))
     return [int(x) for x in text.split(",")]
 
@@ -204,15 +206,10 @@ def run(argv: list[str]) -> int:
         print(build_p_table(args.n).counts[args.n])
 
     elif args.command == "encode":
-        print(encode(args.lam).text())
+        print(bin(encode(args.lam)))
 
     elif args.command == "decode":
-        try:
-            code = parse_code(args.code)
-        except ValueError as exc:
-            print(f"snzeros decode: error: {exc}", file=sys.stderr)
-            return 1
-        print(str(decode(code)))
+        print(decode(parse_code(args.code)))
 
     return 0
 

@@ -2,10 +2,10 @@
 
 The character value on a given cycle type is expanded by repeatedly removing
 rim hooks whose sizes are the cycle lengths, largest first.  The expansion
-front is a dictionary mapping canonical boundary words to exact integer
-coefficients, so shapes reached along many removal paths are merged.  Once
-only fixed points (cycle length 1) remain, each surviving shape is finished
-with the hook-length formula.
+front is a dictionary mapping canonical boundary words (plain ints, see
+partitions) to exact integer coefficients, so shapes reached along many
+removal paths are merged.  Once only fixed points (cycle length 1) remain,
+each surviving word is finished with the hook-length formula.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WeightMismatch
-from .partitions import (
-    Partition,
-    dimension_from_word,
-    encode,
-    is_t_core,
-    remove_rim_hooks,
-)
+from .partitions import Partition, dimension, encode, is_t_core, remove_rim_hooks
 
 
 @dataclass(frozen=True)
@@ -43,14 +37,14 @@ def character(lam: Partition, mu: Partition) -> int:
     """Exact character value of the irreducible indexed by lam at cycle type mu."""
     if lam.n != mu.n:
         raise WeightMismatch(f"lambda has weight {lam.n} but mu has weight {mu.n}")
-    bag = {encode(lam).word: 1}
+    bag = {encode(lam): 1}
     for t in mu.parts:
         if t == 1:
             break  # remaining parts are all 1: finish with dimensions
         bag = remove_rim_hooks(bag, t)
         if not bag:
             return 0
-    return sum(c * dimension_from_word(w) for w, c in bag.items())
+    return sum(c * dimension(w) for w, c in bag.items())
 
 
 def classify(lam: Partition, mu: Partition, evaluate: bool = True) -> ZeroClass:
@@ -61,12 +55,12 @@ def classify(lam: Partition, mu: Partition, evaluate: bool = True) -> ZeroClass:
     """
     if lam.n != mu.n:
         raise WeightMismatch(f"lambda has weight {lam.n} but mu has weight {mu.n}")
-    code = encode(lam)
-    is_type1 = bool(mu.parts) and is_t_core(code, mu.parts[0])
+    word = encode(lam)
+    is_type1 = bool(mu.parts) and is_t_core(word, mu.parts[0])
     if is_type1:
         is_type2 = True
     else:
-        is_type2 = any(is_t_core(code, t) for t in set(mu.parts[1:]))
+        is_type2 = any(is_t_core(word, t) for t in set(mu.parts[1:]))
     if evaluate and not is_type2:
         is_zero = character(lam, mu) == 0
     else:

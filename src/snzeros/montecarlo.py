@@ -40,9 +40,8 @@ def _check_inputs(n_values: Iterable[int], samples: int, master_seed: int, worke
         raise SnZerosError(f"need at least 1 sample per n, got {samples}")
     if workers < 1:
         raise SnZerosError(f"need at least 1 worker, got {workers}")
-    for n in n_values:
-        if n < 0:
-            raise SnZerosError(f"estimates need n >= 0, got n={n}")
+    for n in n_values:  # n is hashed into the per-n seed
+        check_u64("n", n)
     check_u64("master seed", master_seed)
 
 
@@ -57,6 +56,8 @@ class EstimateRequest:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if self.mode not in (*MODES, "auto"):
+            raise InvalidMode(f"mode must be one of {MODES} or 'auto', got {self.mode!r}")
         _check_inputs(self.n_values, self.samples_per_n, self.master_seed, self.workers)
 
     def mode_for(self, n: int) -> str:

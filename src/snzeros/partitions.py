@@ -1,13 +1,14 @@
-"""Integer partitions, boundary words, hook lengths, and rim-hook surgery.
+"""Integer partitions, boundary words, and rim-hook surgery.
 
 A partition is stored as a weakly decreasing tuple of positive parts.  The
 boundary word of its Young diagram is obtained by walking the profile from
 the lower left to the upper right, writing 1 for every horizontal edge and
 0 for every vertical edge.  We pack the walk into a single Python integer
-with walk index 0 at the most significant bit, so the word for (6,5,3,2,1,1)
-prints as 0b100101011010.  Rim-hook removal and core testing then reduce to
-shift/mask arithmetic on that integer, which is what makes large-n character
-evaluation feasible.
+with walk index 0 at the most significant bit, so bin(word) reads in walk
+order: the word for (6,5,3,2,1,1) is 0b100101011010.  That plain int is the
+only shape key below Partition.  Rim-hook removal, core testing and the
+hook-length formula then reduce to shift/mask arithmetic on it, which is
+what makes large-n character evaluation feasible.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NonPositivePart, NotWeaklyDecreasing
+from .errors import NonPositivePart, NotWeaklyDecreasing, SnZerosError
 
 
 @dataclass(frozen=True)
@@ -57,96 +58,49 @@ def from_parts(parts: Sequence[int] | Iterable[int]) -> Partition:
     return Partition(t)
 
 
-@dataclass(frozen=True)
-class BoundaryCode:
-    """Boundary word of a Young diagram packed into an integer.
-
-    Walk index a (0 = first edge at the lower left) lives at bit position
-    length-1-a, so the printed binary literal reads in walk order.  Canonical
-    codes start with a 1 and end with a 0; the empty partition has word 0 and
-    length 0.  A canonical nonzero word is always even and its bit_length
-    equals its length, so the bare integer is a complete canonical key.
-    """
-
-    word: int
-    length: int
-
-    @classmethod
-    def canonical(cls, word: int) -> "BoundaryCode":
-        """Canonicalize a walk word: drop trailing 1-bits and leading 0-bits."""
-        while word & 1:
-            word >>= 1
-        return cls(word, word.bit_length())
-
-    def bit(self, a: int) -> int:
-        """The bit at walk index a (0 or 1)."""
-        return (self.word >> (self.length - 1 - a)) & 1
-
-    def text(self) -> str:
-        """Walk-order bit string with a 0b prefix, e.g. 0b100101011010."""
-        if self.length == 0:
-            return "0b0"
-        return "0b" + format(self.word, f"0{self.length}b")
-
-
-def parse_code(text: str) -> BoundaryCode:
+def parse_code(text: str) -> int:
     """Parse a (possibly non-canonical) bit string such as 0b100101011010."""
     s = text[2:] if text.startswith(("0b", "0B")) else text
     if s == "" or any(ch not in "01" for ch in s):
-        raise ValueError(f"not a bit string: {text!r}")
-    return BoundaryCode(int(s, 2), len(s))
+        raise SnZerosError(f"not a bit string: {text!r}")
+    return int(s, 2)
 
 
-def encode(lam: Partition) -> BoundaryCode:
-    """Boundary word of a partition; inverse of decode on canonical codes."""
+def encode(lam: Partition) -> int:
+    """Canonical boundary word of a partition; inverse of decode.
+
+    A canonical nonzero word starts with a 1 and ends with a 0, so the bare
+    integer is a complete key and bin(word) is the walk; the empty partition
+    has word 0.
+    """
     word = 0
     prev = 0
     for part in reversed(lam.parts):
         run = part - prev
         word = (word << (run + 1)) | (((1 << run) - 1) << 1)
         prev = part
-    if lam.parts:
-        return BoundaryCode(word, lam.parts[0] + len(lam.parts))
-    return BoundaryCode(0, 0)
+    return word
 
 
-def decode(code: BoundaryCode) -> Partition:
-    """Partition encoded by a boundary word, after normalizing the word.
+def decode(word: int) -> Partition:
+    """Partition of a boundary word, which need not be canonical.
 
-    Leading 0-bits produce empty rows and are dropped; trailing 1-bits never
-    close a row and are ignored, so decode is insensitive to the padding that
-    makes boundary words non-unique.
+    Leading 0-bits would only produce empty rows, and trailing 1-bits never
+    close a row and are ignored, so padded walks decode to the same shape.
     """
-    word, length = code.word, code.length
     parts_rev = []
     ones = 0
-    for a in range(length):
-        if (word >> (length - 1 - a)) & 1:
+    for ch in bin(word)[2:]:
+        if ch == "1":
             ones += 1
         elif ones:
             parts_rev.append(ones)
     return Partition(tuple(reversed(parts_rev)))
 
 
-def hook_lengths(lam: Partition) -> list[int]:
-    """All hook lengths of the diagram, straight from the definition.
-
-    h(i,j) = lam_i - j + #{s >= i : lam_s >= j}.  Quadratic and only used as
-    an oracle and for small shapes; hot paths work on boundary words instead.
-    """
-    parts = lam.parts
-    ell = len(parts)
-    hooks = []
-    for i in range(ell):
-        for j in range(1, parts[i] + 1):
-            col = sum(1 for s in range(i, ell) if parts[s] >= j)
-            hooks.append(parts[i] - j + col)
-    return sorted(hooks)
-
-
-def is_t_core(code: BoundaryCode, t: int) -> bool:
+def is_t_core(word: int, t: int) -> bool:
     """True iff no rim hook of size t can be removed (no hook divisible by t)."""
-    return ((code.word >> t) & ~code.word) == 0
+    return ((word >> t) & ~word) == 0
 
 
 def remove_rim_hooks(bag: dict[int, int], t: int) -> dict[int, int]:
@@ -177,18 +131,8 @@ def remove_rim_hooks(bag: dict[int, int], t: int) -> dict[int, int]:
     return {w: c for w, c in new.items() if c}
 
 
-def rim_hook_removals(code: BoundaryCode, t: int) -> list[tuple[BoundaryCode, int]]:
-    """All single t-rim-hook removals with their signs (see remove_rim_hooks).
-
-    Results are ordered by ascending walk index of the flipped 1-bit.  The
-    removals of one shape are distinct shapes, so none merge or cancel.
-    """
-    bag = remove_rim_hooks({code.word: 1}, t)
-    return [(BoundaryCode(w, w.bit_length()), s) for w, s in reversed(bag.items())]
-
-
-def dimension_from_word(word: int) -> int:
-    """Degree of the irreducible character for a canonical boundary word.
+def dimension(word: int) -> int:
+    """Degree of the irreducible character of a boundary word (its value on 1^n).
 
     Hook lengths are exactly the gaps p1-p0 over pairs (1-bit at p1, 0-bit at
     p0 < p1), so one ascending pass collects the hook product and the weight.
@@ -208,11 +152,6 @@ def dimension_from_word(word: int) -> int:
         w >>= 1
         pos += 1
     return factorial(n) // prod
-
-
-def dimension(lam: Partition) -> int:
-    """Exact n! / (product of hook lengths); the character value on 1^n."""
-    return dimension_from_word(encode(lam).word)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

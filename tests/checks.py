@@ -18,16 +18,15 @@ from snzeros import (
     decode,
     dimension,
     encode,
-    hook_lengths,
     is_t_core,
     partitions_of,
     random_partition,
-    rim_hook_removals,
     SampleStream,
 )
 from snzeros.montecarlo import estimate
+from snzeros.partitions import remove_rim_hooks
 
-from oracles import border_strip_removals, naive_character
+from oracles import border_strip_removals, hooks_arm_leg, naive_character
 
 
 def check_round_trip(max_n: int = 20) -> None:
@@ -37,20 +36,24 @@ def check_round_trip(max_n: int = 20) -> None:
             assert decode(encode(lam)) == lam, f"round trip failed for {parts}"
 
 
+def bitpair_gaps(word: int) -> list[int]:
+    """Sorted walk-index gaps b - a over (1-bit at a, 0-bit at b > a) pairs."""
+    bits = bin(word)[2:]
+    return sorted(
+        b - a
+        for a in range(len(bits))
+        if bits[a] == "1"
+        for b in range(a + 1, len(bits))
+        if bits[b] == "0"
+    )
+
+
 def check_hook_bitpair_identity(max_n: int = 15) -> None:
     """Hook multiset equals the gaps over (1-bit, later 0-bit) pairs."""
     for n in range(max_n + 1):
         for parts in partitions_of(n):
-            lam = Partition(parts)
-            code = encode(lam)
-            gaps = sorted(
-                b - a
-                for a in range(code.length)
-                if code.bit(a)
-                for b in range(a + 1, code.length)
-                if not code.bit(b)
-            )
-            assert gaps == hook_lengths(lam), f"hook identity failed for {parts}"
+            gaps = bitpair_gaps(encode(Partition(parts)))
+            assert gaps == hooks_arm_leg(parts), f"hook identity failed for {parts}"
 
 
 def check_core_equivalence(max_n: int = 15, oracle_max_n: int = 12) -> None:
@@ -61,19 +64,18 @@ def check_core_equivalence(max_n: int = 15, oracle_max_n: int = 12) -> None:
     """
     for n in range(max_n + 1):
         for parts in partitions_of(n):
-            lam = Partition(parts)
-            code = encode(lam)
-            hooks = hook_lengths(lam)
+            word = encode(Partition(parts))
+            hooks = hooks_arm_leg(parts)
             for t in range(1, n + 2):
-                core = is_t_core(code, t)
+                core = is_t_core(word, t)
                 no_div = not any(h % t == 0 for h in hooks)
-                removals = rim_hook_removals(code, t)
+                removals = remove_rim_hooks({word: 1}, t)
                 assert core == no_div == (not removals), f"core mismatch {parts} t={t}"
-                for out_code, sign in removals:
+                for out_word, sign in removals.items():
                     assert sign in (1, -1)
-                    assert decode(out_code).n == n - t, f"weight not conserved {parts} t={t}"
+                    assert decode(out_word).n == n - t, f"weight not conserved {parts} t={t}"
                 if n <= oracle_max_n:
-                    got = sorted((decode(c).parts, s) for c, s in removals)
+                    got = sorted((decode(w).parts, s) for w, s in removals.items())
                     want = sorted((k, (-1) ** h) for k, h in border_strip_removals(parts, t))
                     assert got == want, f"removals of {parts} t={t}: {got} != oracle {want}"
 
@@ -83,7 +85,7 @@ def check_dimension_base_case(max_n: int = 12) -> None:
         ones = Partition((1,) * n)
         for parts in partitions_of(n):
             lam = Partition(parts)
-            assert character(lam, ones) == dimension(lam), f"base case failed for {parts}"
+            assert character(lam, ones) == dimension(encode(lam)), f"base case failed for {parts}"
 
 
 def check_column_orthogonality(max_n: int = 12) -> None:

@@ -31,6 +31,14 @@ class TestParsing:
         assert parse_range("100:400:100") == [100, 200, 300, 400]
         assert parse_range("10,20,50") == [10, 20, 50]
 
+    def test_range_rejects_empty(self):
+        import argparse
+
+        assert parse_range("3:3") == [3]
+        for text in ["3:1", "5:2:2"]:
+            with pytest.raises(argparse.ArgumentTypeError, match="empty range"):
+                parse_range(text)
+
 
 class TestCommands:
     def test_eval(self, capsys):
@@ -150,6 +158,9 @@ class TestExitCodes:
         ["sample", "--n", "5", "--count", "0"],
         ["sweep", "--n", "5", "--samples", "5", "--threads", "-2"],
         ["sweep", "--n", "5", "--samples", "5", "--threads", "0"],
+        ["sweep", "--n", "18446744073709551616", "--samples", "1"],
+        ["decode", "--code", "0b12"],
+        ["decode", "--code", ""],
     ])
     def test_invalid_census_input_is_one_line_error(self, argv):
         proc = subprocess.run(
@@ -159,6 +170,20 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("snzeros: error: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--n", "3:1"],
+        ["count-type1", "--n", "5:2"],
+        ["sweep", "--n", "3:1", "--samples", "5"],
+    ])
+    def test_empty_range_is_usage_error(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "empty range" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_scan_ratio_without_zeros(self):
         proc = subprocess.run(
@@ -186,6 +211,7 @@ _RANGE = st.one_of(
     st.builds("{}:{}:{}".format, _SMALL, _SMALL, _SMALL),
     st.lists(_SMALL, min_size=1, max_size=3).map(",".join),
     st.sampled_from(["1:2:3:4", "a:b", ""]),
+    st.just("18446744073709551616"),  # one value, so no uncapped work
 )
 _PARTS = st.lists(st.integers(-1, 5), max_size=4).map(lambda ps: ",".join(map(str, ps)))
 # command -> (required flags, optional flags); flag -> value strategy, or None for a switch

@@ -7,6 +7,7 @@ from snzeros import (
     character,
     classify,
     dimension,
+    encode,
     partitions_of,
 )
 
@@ -56,7 +57,7 @@ class TestCharacter:
         shapes = all_partitions(n)
         lam = rnd.choice(shapes)
         mu = rnd.choice(shapes)
-        assert abs(character(lam, mu)) <= dimension(lam)
+        assert abs(character(lam, mu)) <= dimension(encode(lam))
 
 
 class TestClassify:

@@ -35,8 +35,13 @@ class TestEstimate:
         with pytest.raises(InvalidMode):
             estimate(5, 10, 0, mode="exactly")
 
+    def test_invalid_request_mode_fails_at_construction(self):
+        with pytest.raises(InvalidMode):
+            EstimateRequest(n_values=(5,), samples_per_n=3, master_seed=0, mode="bogus")
+        assert EstimateRequest(n_values=(5,), samples_per_n=3, master_seed=0, mode="auto")
+
     @pytest.mark.parametrize("n, samples, seed", [
-        (-1, 10, 0), (5, 0, 0), (5, 10, -1), (5, 10, 2**64),
+        (-1, 10, 0), (5, 0, 0), (5, 10, -1), (5, 10, 2**64), (2**64, 10, 0),
     ])
     def test_invalid_inputs(self, n, samples, seed):
         with pytest.raises(SnZerosError):

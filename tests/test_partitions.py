@@ -2,20 +2,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snzeros import (
-    BoundaryCode,
     NonPositivePart,
     NotWeaklyDecreasing,
     Partition,
+    SnZerosError,
     decode,
     dimension,
     encode,
     from_parts,
-    hook_lengths,
     is_t_core,
     partitions_of,
-    rim_hook_removals,
 )
-from snzeros.partitions import parse_code
+from snzeros.partitions import parse_code, remove_rim_hooks
 
 import checks
 from oracles import conjugate, dimension_hook_formula, hooks_arm_leg
@@ -47,23 +45,28 @@ class TestFromParts:
 
 class TestEncodeDecode:
     def test_worked_example(self):
-        code = encode(Partition((6, 5, 3, 2, 1, 1)))
-        assert code.text() == "0b100101011010"
-        assert decode(code) == Partition((6, 5, 3, 2, 1, 1))
+        word = encode(Partition((6, 5, 3, 2, 1, 1)))
+        assert type(word) is int
+        assert bin(word) == "0b100101011010"
+        assert decode(word) == Partition((6, 5, 3, 2, 1, 1))
 
     def test_two_by_two(self):
-        assert encode(Partition((2, 2))).text() == "0b1100"
+        assert bin(encode(Partition((2, 2)))) == "0b1100"
 
     def test_empty(self):
-        code = encode(Partition(()))
-        assert (code.word, code.length) == (0, 0)
-        assert decode(code) == Partition(())
+        assert encode(Partition(())) == 0
+        assert decode(0) == Partition(())
 
     def test_decode_normalizes_trailing_ones(self):
         assert decode(parse_code("10011")) == Partition((1, 1))
 
     def test_decode_single_cell(self):
         assert decode(parse_code("10")) == Partition((1,))
+
+    @pytest.mark.parametrize("text", ["", "0b", "0b12", "abc", "1 0"])
+    def test_parse_code_rejects_non_bit_strings(self, text):
+        with pytest.raises(SnZerosError, match="not a bit string"):
+            parse_code(text)
 
     @given(parts_lists)
     def test_round_trip(self, parts):
@@ -73,10 +76,8 @@ class TestEncodeDecode:
     @given(parts_lists, st.integers(0, 4), st.integers(0, 4))
     def test_decode_padding_invariance(self, parts, lead_zeros, trail_ones):
         # prepend 0-bits (walk start) and append 1-bits (walk end)
-        code = encode(Partition(parts))
-        word = (code.word << trail_ones) | ((1 << trail_ones) - 1)
-        padded = BoundaryCode(word, code.length + lead_zeros + trail_ones)
-        assert decode(padded) == Partition(parts)
+        padded = "0" * lead_zeros + format(encode(Partition(parts)), "b") + "1" * trail_ones
+        assert decode(parse_code(padded)) == Partition(parts)
 
     def test_round_trip_exhaustive(self):
         checks.check_round_trip(max_n=20)
@@ -84,13 +85,8 @@ class TestEncodeDecode:
 
 class TestHooks:
     def test_small_shapes(self):
-        assert hook_lengths(Partition((2, 2))) == [1, 2, 2, 3]
-        assert hook_lengths(Partition((3, 1))) == [1, 1, 2, 4]
-        assert hook_lengths(Partition((1,))) == [1]
-
-    @given(parts_lists)
-    def test_matches_arm_leg_formulation(self, parts):
-        assert hook_lengths(Partition(parts)) == hooks_arm_leg(parts)
+        for parts, hooks in [((2, 2), [1, 2, 2, 3]), ((3, 1), [1, 1, 2, 4]), ((1,), [1])]:
+            assert checks.bitpair_gaps(encode(Partition(parts))) == hooks_arm_leg(parts) == hooks
 
     def test_bit_pair_identity(self):
         checks.check_hook_bitpair_identity(max_n=15)
@@ -108,26 +104,23 @@ class TestCoresAndRimHooks:
     def test_worked_example_removals(self):
         # permanent orientation cross-check: both removals of size 3 from
         # (6,5,3,2,1,1) must equal these literals up to canonical form
-        code = encode(Partition((6, 5, 3, 2, 1, 1)))
-        assert not is_t_core(code, 3)
-        removals = rim_hook_removals(code, 3)
-        expected = [
-            BoundaryCode.canonical(int("100001111010", 2)),
-            BoundaryCode.canonical(int("100101010011", 2)),
-        ]
-        assert [(c, s) for c, s in removals] == [(e, -1) for e in expected]
-        assert removals[0][0].text() == "0b100001111010"
-        assert [decode(c) for c, _ in removals] == [
+        word = encode(Partition((6, 5, 3, 2, 1, 1)))
+        assert word == 0b100101011010
+        assert not is_t_core(word, 3)
+        removals = remove_rim_hooks({word: 1}, 3)
+        # 0b100101010011 is canonical once its trailing 1-bits are dropped
+        assert removals == {0b100001111010: -1, 0b1001010100: -1}
+        assert [decode(w) for w in sorted(removals, reverse=True)] == [
             Partition((6, 5, 1, 1, 1, 1)),
             Partition((4, 4, 3, 2, 1, 1)),
         ]
 
     def test_removal_reaches_smaller_partition(self):
-        (result,) = rim_hook_removals(encode(Partition((3, 1))), 2)
+        (result,) = remove_rim_hooks({encode(Partition((3, 1))): 1}, 2).items()
         assert (decode(result[0]), result[1]) == (Partition((1, 1)), 1)
 
     def test_too_small_shape(self):
-        assert rim_hook_removals(encode(Partition((1,))), 2) == []
+        assert remove_rim_hooks({encode(Partition((1,))): 1}, 2) == {}
 
     def test_core_equivalence_exhaustive(self):
         checks.check_core_equivalence(max_n=15)
@@ -135,19 +128,21 @@ class TestCoresAndRimHooks:
 
 class TestDimension:
     def test_known_values(self):
-        assert dimension(Partition((7,))) == 1
-        assert dimension(Partition((2, 1))) == 2
-        assert dimension(Partition((2, 2))) == 2
-        assert dimension(Partition(())) == 1
+        assert dimension(encode(Partition((7,)))) == 1
+        assert dimension(encode(Partition((2, 1)))) == 2
+        assert dimension(encode(Partition((2, 2)))) == 2
+        assert dimension(encode(Partition(()))) == 1
 
     @given(parts_lists)
     def test_matches_grid_hook_formula(self, parts):
-        assert dimension(Partition(parts)) == dimension_hook_formula(parts)
+        assert dimension(encode(Partition(parts))) == dimension_hook_formula(parts)
 
     def test_conjugation_invariance(self):
         for n in range(13):
             for parts in partitions_of(n):
-                assert dimension(Partition(parts)) == dimension(Partition(conjugate(parts)))
+                assert dimension(encode(Partition(parts))) == dimension(
+                    encode(Partition(conjugate(parts)))
+                )
 
 
 def test_partitions_of_counts():
