@@ -6,16 +6,15 @@ column of mu[1:]: remove every mu_1-rim hook of each row, with its sign, and
 read the smaller shape's value.  Only columns with |mu| + mu_1 <= n are read
 again and kept.  Large n: the number of type-1 zeros decomposes as
 sum_t q(n,t) * c_t(n), where q(n,t) counts column shapes with largest part t
-and c_t(n) counts row shapes with no hook divisible by t.  The c_t series is
-the partition series times E(x^t)^t with E the (sparse, pentagonal) Euler
-product, so a single coefficient can be extracted cheaply.
+and c_t(n) counts row shapes with no hook divisible by t.  q(n, .) comes from
+Euler's distinct-parts identity, c_t(n) from P(x) E(x^t)^t (E = prod (1 - x^i)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, or_
+from operator import add, or_, sub
 
 from .errors import ResourceLimit, SnZerosError
 from .mn import classify  # noqa: F401  module attribute the benchmark tracer patches
@@ -23,7 +22,7 @@ from .partitions import Partition, encode, is_t_core, partitions_of, remove_rim_
 from .ptable import build_p_table, env_cap, pentagonal_offsets
 
 DEFAULT_SCAN_CAP = 20
-DEFAULT_TYPE1_CAP = 5000
+DEFAULT_TYPE1_CAP = 20000
 
 
 def ratio_decimal(num: int, den: int, digits: int = 6) -> str:
@@ -126,35 +125,34 @@ def count_t_cores(n: int, t: int, pcounts: tuple[int, ...] | None = None) -> int
     return sum(g[j] * pcounts[n - t * j] for j in range(deg + 1))
 
 
-def count_max_part(n: int) -> list[int]:
+def count_max_part(n: int, pcounts: tuple[int, ...] | None = None) -> list[int]:
     """q[t] = number of partitions of n with largest part exactly t, 1 <= t <= n.
 
-    q(n,t) counts partitions of n-t into parts <= t, read off a rolling
-    bounded-part array; step t updates only the indices m <= n - t still read,
-    in blocks of t indices that each read only indices below the block.
+    Euler's prod_{i>t} (1 - x^i) = sum_r (-1)^r x^(rt + r(r+1)/2) / prod_{i<=r} (1 - x^i)
+    gives q(n,t) = sum_r (-1)^r F_r[n - t - rt - r(r+1)/2] with F_r = P / prod_{i<=r} (1 - x^i),
+    r < sqrt(2n) and P from pcounts (built under the partition-table cap when not given).
     """
-    bounded = [0] * (n + 1)  # partitions with parts <= t, updated in place
-    bounded[0] = 1
-    q = [0] * (n + 1)
-    for t in range(1, n + 1):
-        end = n - t + 1
-        for lo in range(t, end, t):
-            hi = min(lo + t, end)
-            bounded[lo:hi] = map(add, bounded[lo:hi], bounded[lo - t:hi - t])
-        q[t] = bounded[n - t]
+    if pcounts is None:
+        pcounts = build_p_table(n).counts
+    f = list(pcounts[:n])  # F_0 = P
+    q = [0, *reversed(f)]  # the r = 0 term, p(n - t)
+    r = 1
+    while (top := n - 1 - r - r * (r + 1) // 2) >= 0:  # F_r is read up to top only
+        for lo in range(r, top + 1, r):  # each block of r reads only the block below
+            f[lo:lo + r] = map(add, f[lo:lo + r], f[lo - r:lo])
+        terms = f[top::-(r + 1)]  # F_r at top, top - (r + 1), ... for t = 1, 2, ...
+        q[1:len(terms) + 1] = map(sub if r & 1 else add, q[1:len(terms) + 1], terms)
+        r += 1
     return q
 
 
 def count_type1(n: int, cap: int | None = None) -> int:
     """Exact number of type-1 zeros in the character table of weight n."""
-    if n < 0:
-        raise SnZerosError(f"type-1 count needs n >= 0, got n={n}")
     if cap is None:
         cap = env_cap("SNZ_TYPE1_CAP", DEFAULT_TYPE1_CAP)
     if n > cap:
         raise ResourceLimit(f"n={n} exceeds type-1 count cap {cap}")
-    if n == 0:
-        return 0
     pcounts = build_p_table(n, cap=n + 1).counts
-    q = count_max_part(n)
-    return sum(q[t] * count_t_cores(n, t, pcounts) for t in range(1, n + 1))
+    q = count_max_part(n, pcounts)
+    # t = 1 adds nothing: for n >= 1 no partition is a 1-core, so c_1(n) = 0
+    return sum(q[t] * count_t_cores(n, t, pcounts) for t in range(2, n + 1))

@@ -26,7 +26,7 @@ from .montecarlo import (
     write_csv,
 )
 from .partitions import Partition, decode, encode, from_parts, parse_code
-from .ptable import build_p_table
+from .ptable import build_p_table, ptable_cap
 from .sampler import SampleStream, check_u64, random_partition
 
 
@@ -61,6 +61,8 @@ def parse_range(text: str) -> list[int]:
             raise argparse.ArgumentTypeError("range step must be >= 1")
         if a > b:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        if (b - a) // step > ptable_cap():  # a longer range holds an n no command accepts
+            raise argparse.ArgumentTypeError(f"range {text!r} has over {ptable_cap() + 1} values")
         return list(range(a, b + 1, step))
     return [int(x) for x in text.split(",")]
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import add
 
 
 def partitions_tuples(n: int, max_part: int | None = None):
@@ -111,6 +112,25 @@ def bounded_part_count(n: int, k: int) -> int:
         for m in range(part, n + 1):
             dp[m] += dp[m - part]
     return dp[n]
+
+
+def rolling_max_part_counts(n: int) -> list[int]:
+    """q[t] = number of partitions of n with largest part exactly t, by an O(n^2) DP.
+
+    q(n,t) counts partitions of n-t into parts <= t, read off a rolling
+    bounded-part array; step t updates only the indices m <= n - t still read,
+    in blocks of t indices that each read only indices below the block.
+    """
+    bounded = [0] * (n + 1)  # partitions with parts <= t, updated in place
+    bounded[0] = 1
+    q = [0] * (n + 1)
+    for t in range(1, n + 1):
+        end = n - t + 1
+        for lo in range(t, end, t):
+            hi = min(lo + t, end)
+            bounded[lo:hi] = map(add, bounded[lo:hi], bounded[lo - t:hi - t])
+        q[t] = bounded[n - t]
+    return q
 
 
 def centralizer_size(mu: tuple[int, ...]) -> int:

@@ -18,7 +18,13 @@ from snzeros.census import (
     ratio_decimal,
 )
 
-from oracles import bounded_part_count, dense_core_count, naive_character, partitions_tuples
+from oracles import (
+    bounded_part_count,
+    dense_core_count,
+    naive_character,
+    partitions_tuples,
+    rolling_max_part_counts,
+)
 
 
 class TestRatioDecimal:
@@ -155,6 +161,16 @@ class TestMaxPartCounts:
             q = count_max_part(n)
             assert q[1:] == [bounded_part_count(n - t, t) for t in range(1, n + 1)], n
 
+    @pytest.mark.parametrize("ns", [range(400), [1000, 5000]], ids=["n<400", "n=1000,5000"])
+    def test_matches_rolling_dp_oracle(self, ns):
+        for n in ns:
+            assert count_max_part(n) == rolling_max_part_counts(n), n
+
+    def test_given_pcounts(self):
+        pcounts = build_p_table(50).counts
+        for n in range(51):
+            assert count_max_part(n, pcounts) == rolling_max_part_counts(n), n
+
     def test_matches_enumeration(self):
         for n in range(1, 13):
             q = count_max_part(n)
@@ -171,6 +187,15 @@ class TestCountType1:
     def test_negative_n(self):
         with pytest.raises(SnZerosError):
             count_type1(-1)
+
+    def test_skipping_t1_keeps_the_full_sum(self):
+        # count_type1 sums from t = 2 because c_1(n) = 0 for n >= 1
+        for n in range(1, 200):
+            pcounts = build_p_table(n).counts
+            q = count_max_part(n, pcounts)
+            full = sum(q[t] * count_t_cores(n, t, pcounts) for t in range(1, n + 1))
+            assert count_t_cores(n, 1, pcounts) == 0
+            assert count_type1(n) == full, n
 
     def test_small_values_match_scan(self):
         for n in range(3, 9):

@@ -39,6 +39,16 @@ class TestParsing:
             with pytest.raises(argparse.ArgumentTypeError, match="empty range"):
                 parse_range(text)
 
+    def test_range_rejects_more_values_than_the_table_cap(self, monkeypatch):
+        import argparse
+
+        monkeypatch.setenv("SNZ_PTABLE_CAP", "10")
+        assert parse_range("0:10") == list(range(11))
+        assert parse_range("-20:30:5") == list(range(-20, 31, 5))
+        for text in ["0:11", "-1:10", "0:10000000000", f"0:{10**30}"]:
+            with pytest.raises(argparse.ArgumentTypeError, match="has over 11 values"):
+                parse_range(text)
+
 
 class TestCommands:
     def test_eval(self, capsys):
@@ -185,6 +195,27 @@ class TestExitCodes:
         assert "empty range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--n", "0:10000000000"],
+        ["count-type1", "--n", "0:10000000000"],
+        ["sweep", "--n", "0:10000000000", "--samples", "1"],
+        ["scan", "--n", f"0:{10**30}"],
+    ])
+    def test_huge_range_is_rejected_before_it_is_built(self, argv):
+        import resource
+
+        def limit_memory():  # a built 10^10-entry list would not fit in 400 MB
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", *argv],
+            capture_output=True, text=True, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "has over 100001 values" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_scan_ratio_without_zeros(self):
         proc = subprocess.run(
             [sys.executable, "-m", "snzeros.cli", "scan", "--n", "2", "--ratio"],
@@ -212,6 +243,7 @@ _RANGE = st.one_of(
     st.lists(_SMALL, min_size=1, max_size=3).map(",".join),
     st.sampled_from(["1:2:3:4", "a:b", ""]),
     st.just("18446744073709551616"),  # one value, so no uncapped work
+    st.just(f"0:{10**30}"),  # too long to build, rejected before it is
 )
 _PARTS = st.lists(st.integers(-1, 5), max_size=4).map(lambda ps: ",".join(map(str, ps)))
 # command -> (required flags, optional flags); flag -> value strategy, or None for a switch
