@@ -1,28 +1,35 @@
 """Exact zero statistics: full-table scans and generating-function counts.
 
-Small n: build the p(n) x p(n) character table column by column and tally
-zeros by type.  The column of mu (rows partitions_of(|mu|)) comes from the
-column of mu[1:]: remove every mu_1-rim hook of each row, with its sign, and
-read the smaller shape's value.  Only columns with |mu| + mu_1 <= n are read
-again and kept.  Large n: the number of type-1 zeros decomposes as
-sum_t q(n,t) * c_t(n), where q(n,t) counts column shapes with largest part t
-and c_t(n) counts row shapes with no hook divisible by t.  q(n, .) comes from
-Euler's distinct-parts identity, c_t(n) from P(x) E(x^t)^t (E = prod (1 - x^i)).
+Small n: build the p(n) x p(n) character table bottom-up and tally zeros by
+type.  The column of mu comes from the column of mu[1:] by removing every
+mu_1-rim hook of each row, with its sign; the columns (t,) + rest of one
+weight are built together, each row a signed sum of whole rows of weight
+|rest|.  Only columns with |mu| + mu_1 <= n are kept.  Large n: the type-1
+zeros number sum_t q(n,t) * c_t(n), where q(n,t) counts column shapes with
+largest part t and c_t(n) counts row shapes with no hook divisible by t,
+read off P(x) E(x^t)^t (E = prod (1 - x^i)), each E^t being E^(t-1) * E.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, or_, sub
+from operator import add, mul, or_, sub
+from typing import Iterable
 
 from .errors import ResourceLimit, SnZerosError
 from .mn import classify  # noqa: F401  module attribute the benchmark tracer patches
 from .partitions import Partition, encode, is_t_core, partitions_of, remove_rim_hooks
 from .ptable import build_p_table, env_cap, pentagonal_offsets
 
-DEFAULT_SCAN_CAP = 20
-DEFAULT_TYPE1_CAP = 20000
+_CAPS = {"scan": ("SNZ_SCAN_CAP", 20), "type-1 count": ("SNZ_TYPE1_CAP", 20000)}  # (env, default)
+
+
+def check_cap(what: str, ns: Iterable[int], cap: int | None = None) -> None:
+    """ResourceLimit for the first n of ns over the `what` cap (its variable's unless given)."""
+    cap = env_cap(*_CAPS[what]) if cap is None else cap
+    if over := [n for n in ns if n > cap]:
+        raise ResourceLimit(f"n={over[0]} exceeds {what} cap {cap}")
 
 
 def ratio_decimal(num: int, den: int, digits: int = 6) -> str:
@@ -61,10 +68,7 @@ class ScanResult:
 
 def full_table_scan(n: int, cap: int | None = None) -> ScanResult:
     """Tally zeros, type-1 and type-2 zeros over all (lam, mu) pairs of weight n."""
-    if cap is None:
-        cap = env_cap("SNZ_SCAN_CAP", DEFAULT_SCAN_CAP)
-    if n > cap:
-        raise ResourceLimit(f"n={n} exceeds scan cap {cap}")
+    check_cap("scan", (n,), cap)
     if n < 0:
         raise SnZerosError(f"scan needs n >= 0, got n={n}")
     words = [[encode(Partition(p)) for p in partitions_of(m)] for m in range(n + 1)]
@@ -77,52 +81,51 @@ def full_table_scan(n: int, cap: int | None = None) -> ScanResult:
     for m in range(1, n + 1):
         # below weight n, only columns with |mu| + mu_1 <= n are read again
         for t in range(1, min(m, n - m) + 1 if m < n else n + 1):
-            # hooks[i]: (row index at weight m - t, sign) for each t-rim hook of row i
-            hooks = [[(index[m - t][v], s) for v, s in remove_rim_hooks({w: 1}, t).items()]
-                     for w in words[m]]
-            for rest in partitions_of(m - t, t):
-                below = columns[rest]
-                col = [sum(s * below[j] for j, s in h) for h in hooks]
-                if m < n:
-                    columns[(t,) + rest] = col
-                    continue
-                zero += col.count(0)
-                type1 += core[t].bit_count()
-                type2 += reduce(or_, [core[part] for part in {t, *rest}]).bit_count()
+            rests = list(partitions_of(m - t, t))
+            # below[j][k]: the value of row j of weight m - t on column (t,) + rests[k]
+            below = list(zip(*[columns[rest] for rest in rests]))
+            rows = []
+            for w in words[m]:  # the signed sum of the rows of w's t-rim hook removals
+                row = [0] * len(rests)
+                for v, s in remove_rim_hooks({w: 1}, t).items():
+                    row = map(add if s > 0 else sub, row, below[index[m - t][v]])
+                rows.append(list(row))
+            if m < n:
+                for rest, col in zip(rests, zip(*rows)):
+                    columns[(t,) + rest] = list(col)  # lists: a tuple store peaks higher
+                continue
+            zero += sum(row.count(0) for row in rows)
+            type1 += core[t].bit_count() * len(rests)
+            type2 += sum(reduce(or_, [core[p] for p in {t, *rest}]).bit_count() for rest in rests)
     return ScanResult(n, len(words[n]) ** 2, zero, type1, type2)
 
 
-def count_t_cores(n: int, t: int, pcounts: tuple[int, ...] | None = None) -> int:
-    """c_t(n), partitions of n with no hook divisible by t, via E(y)^t.
+def times_e(g: list[int], deg: int, odd: list[int], even: list[int]) -> list[int]:
+    """g * E up to degree deg < len(g), (odd, even) = pentagonal_offsets(D >= deg), no products."""
+    h = g[:deg + 1]
+    for offsets, op in ((odd, sub), (even, add)):
+        for j in offsets:
+            if j > deg:
+                break
+            h[j:] = map(op, h[j:], g)  # E = 1 - sum x^odd + sum x^even; map stops at h[j:]'s end
+    return h
 
-    With g = E^t and E sparse, m*g_m = sum_j ((t+1)*j - m) E_j g_{m-j}; the
-    division is exact.  Then c_t(n) = sum_j g_j * p(n - t*j), p = pcounts,
-    built here under the partition-table cap when not given.
+
+def count_t_cores(n: int, t: int, pcounts: tuple[int, ...] | None = None) -> int:
+    """c_t(n), partitions of n with no hook divisible by t: sum_j E^t_j * p(n - t*j).
+
+    E^t up to degree n // t is t steps of times_e; p = pcounts, else p(0..n) under the table cap.
     """
     if n < 0 or t < 1:
         raise SnZerosError(f"c_t(n) needs n >= 0 and t >= 1, got n={n}, t={t}")
-    if pcounts is None:
+    if pcounts is None or len(pcounts) <= n:  # pcounts[n::-t] of a short table starts at its end
         pcounts = build_p_table(n).counts
     deg = n // t
-    odd, even = pentagonal_offsets(deg)  # E_j = -1 at odd offsets, +1 at even
-    t1 = t + 1
-    g = [0] * (deg + 1)
-    g[0] = 1
-    for m in range(1, deg + 1):
-        acc = 0
-        for j in even:
-            if j > m:
-                break
-            acc += (t1 * j - m) * g[m - j]
-        for j in odd:
-            if j > m:
-                break
-            acc -= (t1 * j - m) * g[m - j]
-        q, r = divmod(acc, m)
-        if r:
-            raise SnZerosError(f"inexact division in E^{t} coefficient {m}")
-        g[m] = q
-    return sum(g[j] * pcounts[n - t * j] for j in range(deg + 1))
+    odd, even = pentagonal_offsets(deg)
+    g = [1] + [0] * deg
+    for _ in range(t if deg else 0):  # at degree 0, every power of E is 1
+        g = times_e(g, deg, odd, even)
+    return sum(map(mul, g, pcounts[n::-t]))
 
 
 def count_max_part(n: int, pcounts: tuple[int, ...] | None = None) -> list[int]:
@@ -148,11 +151,14 @@ def count_max_part(n: int, pcounts: tuple[int, ...] | None = None) -> list[int]:
 
 def count_type1(n: int, cap: int | None = None) -> int:
     """Exact number of type-1 zeros in the character table of weight n."""
-    if cap is None:
-        cap = env_cap("SNZ_TYPE1_CAP", DEFAULT_TYPE1_CAP)
-    if n > cap:
-        raise ResourceLimit(f"n={n} exceeds type-1 count cap {cap}")
+    check_cap("type-1 count", (n,), cap)
     pcounts = build_p_table(n, cap=n + 1).counts
     q = count_max_part(n, pcounts)
-    # t = 1 adds nothing: for n >= 1 no partition is a 1-core, so c_1(n) = 0
-    return sum(q[t] * count_t_cores(n, t, pcounts) for t in range(2, n + 1))
+    odd, even = pentagonal_offsets(n // 2)
+    # t = 1 adds nothing (c_1(n) = 0 for n >= 1), so E is only stepped from
+    g = times_e([1] + [0] * (n // 2), n // 2, odd, even)
+    total = 0
+    for t in range(2, n + 1):
+        g = times_e(g, n // t, odd, even)  # E^t up to degree n // t
+        total += q[t] * sum(map(mul, g, pcounts[n::-t]))
+    return total

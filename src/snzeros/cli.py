@@ -15,11 +15,12 @@ import os
 import sys
 
 from . import __version__
-from .census import count_t_cores, count_type1, full_table_scan
+from .census import check_cap, count_t_cores, count_type1, full_table_scan
 from .errors import ResourceLimit, SnZerosError
 from .mn import character, classify
 from .montecarlo import (
     CSV_HEADER,
+    MODES,
     EstimateRequest,
     request_metadata,
     sweep,
@@ -111,8 +112,8 @@ def build_parser() -> _Parser:
                    help="n values, e.g. 1:150 or 100:50000:100 or 10,20,50")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["full-eval", "types-only", "auto"], default="auto",
-                   help="auto = full-eval for n <= 300, types-only above")
+    p.add_argument("--mode", choices=MODES, required=True,
+                   help="full-eval evaluates every entry; types-only runs the core tests alone")
     p.add_argument("--threads", type=_auto_workers, default=1, metavar="N|auto",
                    help="worker processes; does not affect results")
     p.add_argument("--out", help="write CSV here (plus a .meta.json sidecar) instead of stdout")
@@ -188,6 +189,7 @@ def run(argv: list[str]) -> int:
             write_csv(sweep(request), sys.stdout)
 
     elif args.command == "scan":
+        check_cap("scan", args.n)  # before any row is computed
         for i, n in enumerate(args.n):
             res = full_table_scan(n)
             if i == 0:  # an invalid first n leaves stdout empty
@@ -198,6 +200,7 @@ def run(argv: list[str]) -> int:
                 print(f"type1/zero = {ratio}", file=sys.stderr)
 
     elif args.command == "count-type1":
+        check_cap("type-1 count", args.n)
         for n in args.n:
             print(count_type1(n), flush=True)
 

@@ -8,7 +8,7 @@ of the worker count by construction.
 
 Modes: "full-eval" evaluates every character exactly and estimates all three
 densities; "types-only" runs just the cheap core tests (no zero count is
-fabricated); "auto" picks full-eval for n <= 300 and types-only above.
+fabricated).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .ptable import PartitionCountTable, build_p_table, ptable_cap
 from .sampler import RNG_NAME, SampleStream, check_u64, derive_seed, random_partition
 
 MODES = ("full-eval", "types-only")
-AUTO_FULL_EVAL_MAX_N = 300
 
 CSV_HEADER = (
     "n,samples,mode,count_zero,count_type1,count_type2,"
@@ -52,18 +51,13 @@ class EstimateRequest:
     n_values: tuple[int, ...]
     samples_per_n: int
     master_seed: int
-    mode: str = "auto"
+    mode: str
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in (*MODES, "auto"):
-            raise InvalidMode(f"mode must be one of {MODES} or 'auto', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise InvalidMode(f"mode must be one of {MODES}, got {self.mode!r}")
         _check_inputs(self.n_values, self.samples_per_n, self.master_seed, self.workers)
-
-    def mode_for(self, n: int) -> str:
-        if self.mode == "auto":
-            return "full-eval" if n <= AUTO_FULL_EVAL_MAX_N else "types-only"
-        return self.mode
 
 
 @dataclass
@@ -187,19 +181,16 @@ def sweep(request: EstimateRequest) -> Iterator[DensityEstimate]:
     Each n runs under its own derived seed; a failing n yields an error-marker
     estimate instead of aborting the rest of the sweep.
     """
-    table = None
-    if request.n_values:
-        # cover as much as the cap allows; capped-out n values become error rows
-        table = build_p_table(min(max(request.n_values), ptable_cap()))
+    # cover as much as the cap allows; capped-out n values become error rows
+    table = build_p_table(min(max(request.n_values, default=0), ptable_cap()))
     for n in request.n_values:
-        mode = request.mode_for(n)
         seed_n = derive_seed(request.master_seed, n)
         try:
             yield estimate(
                 n,
                 request.samples_per_n,
                 seed_n,
-                mode=mode,
+                mode=request.mode,
                 workers=request.workers,
                 table=table,
             )
@@ -207,7 +198,7 @@ def sweep(request: EstimateRequest) -> Iterator[DensityEstimate]:
             yield DensityEstimate(
                 n=n,
                 samples=request.samples_per_n,
-                mode=mode,
+                mode=request.mode,
                 count_zero=None,
                 count_type1=0,
                 count_type2=0,

@@ -10,6 +10,8 @@ from functools import lru_cache
 from math import factorial
 from operator import add
 
+from snzeros.ptable import pentagonal_offsets
+
 
 def partitions_tuples(n: int, max_part: int | None = None):
     if n == 0:
@@ -158,3 +160,30 @@ def dense_core_count(n: int, t: int) -> int:
             for m in range(n, step - 1, -1):
                 series[m] -= series[m - step]
     return series[n]
+
+
+def log_derivative_core_count(n: int, t: int, pcounts: tuple[int, ...]) -> int:
+    """c_t(n) via the log-derivative recurrence for g = E(y)^t.
+
+    With E sparse, m*g_m = sum_j ((t+1)*j - m) E_j g_{m-j}; the division is
+    exact.  Then c_t(n) = sum_j g_j * p(n - t*j), p = pcounts.
+    """
+    deg = n // t
+    odd, even = pentagonal_offsets(deg)  # E_j = -1 at odd offsets, +1 at even
+    t1 = t + 1
+    g = [0] * (deg + 1)
+    g[0] = 1
+    for m in range(1, deg + 1):
+        acc = 0
+        for j in even:
+            if j > m:
+                break
+            acc += (t1 * j - m) * g[m - j]
+        for j in odd:
+            if j > m:
+                break
+            acc -= (t1 * j - m) * g[m - j]
+        q, r = divmod(acc, m)
+        assert not r, f"inexact division in E^{t} coefficient {m}"
+        g[m] = q
+    return sum(g[j] * pcounts[n - t * j] for j in range(deg + 1))

@@ -21,6 +21,7 @@ from snzeros.census import (
 from oracles import (
     bounded_part_count,
     dense_core_count,
+    log_derivative_core_count,
     naive_character,
     partitions_tuples,
     rolling_max_part_counts,
@@ -143,6 +144,22 @@ class TestCoreCounts:
             for t in (1, 2, 3, 5, 11, 31):
                 assert count_t_cores(n, t, pcounts) == dense_core_count(n, t), (n, t)
 
+    def test_matches_log_derivative_oracle(self):
+        pcounts = build_p_table(120).counts
+        for n in range(120):
+            for t in range(1, n + 3):  # t > n counts every partition of n
+                assert count_t_cores(n, t, pcounts) == log_derivative_core_count(n, t, pcounts), (n, t)
+
+    def test_short_table_is_not_read_from_its_end(self):
+        short = build_p_table(10).counts
+        for t in range(1, 18):
+            assert count_t_cores(15, t, short) == brute_core_count(15, t), t
+
+    @pytest.mark.parametrize("t", [2, 3, 7, 50, 1000, 3000])
+    def test_matches_log_derivative_oracle_at_3000(self, t):
+        pcounts = build_p_table(3000).counts
+        assert count_t_cores(3000, t, pcounts) == log_derivative_core_count(3000, t, pcounts)
+
 
 class TestMaxPartCounts:
     def test_small(self):
@@ -196,6 +213,13 @@ class TestCountType1:
             full = sum(q[t] * count_t_cores(n, t, pcounts) for t in range(1, n + 1))
             assert count_t_cores(n, 1, pcounts) == 0
             assert count_type1(n) == full, n
+
+    def test_matches_log_derivative_oracle(self):
+        for n in range(200):
+            pcounts = build_p_table(n).counts
+            q = count_max_part(n, pcounts)
+            want = sum(q[t] * log_derivative_core_count(n, t, pcounts) for t in range(1, n + 1))
+            assert count_type1(n) == want, n
 
     def test_small_values_match_scan(self):
         for n in range(3, 9):

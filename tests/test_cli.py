@@ -1,4 +1,5 @@
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -112,7 +113,8 @@ class TestCommands:
         out = tmp_path / "sweep.csv"
         status, _ = invoke(
             capsys,
-            "sweep", "--n", "5", "--samples", "20", "--seed", "1", "--out", str(out),
+            "sweep", "--n", "5", "--samples", "20", "--seed", "1", "--mode", "full-eval",
+            "--out", str(out),
         )
         assert status == 0
         assert out.read_text().count("\n") == 2
@@ -156,9 +158,9 @@ class TestExitCodes:
         ["cores", "--n", "5", "--t", "0"],
         ["cores", "--n", "-1", "--t", "2"],
         ["sample", "--n", "5", "--index-start", "-1"],
-        ["sweep", "--n", "5", "--samples", "0"],
-        ["sweep", "--n", "5", "--samples", "0", "--threads", "2"],
-        ["sweep", "--n", "-3", "--samples", "5"],
+        ["sweep", "--n", "5", "--samples", "0", "--mode", "full-eval"],
+        ["sweep", "--n", "5", "--samples", "0", "--threads", "2", "--mode", "full-eval"],
+        ["sweep", "--n", "-3", "--samples", "5", "--mode", "full-eval"],
         ["pn", "--n", "-1"],
         ["sample", "--n", "-2"],
         ["count-type1", "--n", "-1"],
@@ -166,9 +168,9 @@ class TestExitCodes:
         ["sample", "--n", "5", "--seed", "-1"],
         ["sample", "--n", "5", "--count", "-3"],
         ["sample", "--n", "5", "--count", "0"],
-        ["sweep", "--n", "5", "--samples", "5", "--threads", "-2"],
-        ["sweep", "--n", "5", "--samples", "5", "--threads", "0"],
-        ["sweep", "--n", "18446744073709551616", "--samples", "1"],
+        ["sweep", "--n", "5", "--samples", "5", "--threads", "-2", "--mode", "full-eval"],
+        ["sweep", "--n", "5", "--samples", "5", "--threads", "0", "--mode", "full-eval"],
+        ["sweep", "--n", "18446744073709551616", "--samples", "1", "--mode", "full-eval"],
         ["decode", "--code", "0b12"],
         ["decode", "--code", ""],
     ])
@@ -216,6 +218,31 @@ class TestExitCodes:
         assert "has over 100001 values" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, env", [
+        (["scan", "--n", "19:21"], {}),
+        (["count-type1", "--n", "28:32"], {"SNZ_TYPE1_CAP": "30"}),
+    ])
+    def test_range_over_cap_fails_before_any_work(self, argv, env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, **env},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("snzeros: resource limit: n=")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", [None, "auto"])
+    def test_sweep_mode_is_required(self, mode):
+        argv = ["sweep", "--n", "5", "--samples", "5"] + ([] if mode is None else ["--mode", mode])
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "--mode" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_scan_ratio_without_zeros(self):
         proc = subprocess.run(
             [sys.executable, "-m", "snzeros.cli", "scan", "--n", "2", "--ratio"],
@@ -251,9 +278,9 @@ _OPTIONS = {
     "eval": ({"--lambda": _PARTS, "--mu": _PARTS}, {}),
     "classify": ({"--lambda": _PARTS, "--mu": _PARTS}, {"--no-eval": None}),
     "sample": ({"--n": _INT}, {"--count": _SMALL, "--seed": _INT, "--index-start": _INT}),
-    "sweep": ({"--n": _RANGE, "--samples": _SMALL},
-              {"--seed": _INT, "--threads": st.sampled_from(["-2", "0", "1", "2", "two"]),
-               "--mode": st.sampled_from(["full-eval", "types-only", "auto", "exact"])}),
+    "sweep": ({"--n": _RANGE, "--samples": _SMALL,
+               "--mode": st.sampled_from(["full-eval", "types-only", "auto", "exact"])},
+              {"--seed": _INT, "--threads": st.sampled_from(["-2", "0", "1", "2", "two"])}),
     "scan": ({"--n": _RANGE}, {"--ratio": None}),
     "count-type1": ({"--n": _RANGE}, {}),
     "cores": ({"--n": _INT, "--t": _INT}, {}),

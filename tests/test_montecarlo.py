@@ -38,7 +38,13 @@ class TestEstimate:
     def test_invalid_request_mode_fails_at_construction(self):
         with pytest.raises(InvalidMode):
             EstimateRequest(n_values=(5,), samples_per_n=3, master_seed=0, mode="bogus")
-        assert EstimateRequest(n_values=(5,), samples_per_n=3, master_seed=0, mode="auto")
+        with pytest.raises(InvalidMode):
+            EstimateRequest(n_values=(5,), samples_per_n=3, master_seed=0, mode="auto")
+        assert EstimateRequest((5,), 3, 0, "types-only").mode == "types-only"
+
+    def test_request_mode_has_no_default(self):
+        with pytest.raises(TypeError):
+            EstimateRequest(n_values=(5,), samples_per_n=3, master_seed=0)
 
     @pytest.mark.parametrize("n, samples, seed", [
         (-1, 10, 0), (5, 0, 0), (5, 10, -1), (5, 10, 2**64), (2**64, 10, 0),
@@ -47,14 +53,16 @@ class TestEstimate:
         with pytest.raises(SnZerosError):
             estimate(n, samples, seed, mode="types-only")
         with pytest.raises(SnZerosError):
-            EstimateRequest(n_values=(3, n), samples_per_n=samples, master_seed=seed)
+            EstimateRequest(n_values=(3, n), samples_per_n=samples, master_seed=seed,
+                            mode="types-only")
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_invalid_worker_count(self, workers):
         with pytest.raises(SnZerosError, match="worker"):
             estimate(5, 10, 0, mode="types-only", workers=workers)
         with pytest.raises(SnZerosError, match="worker"):
-            EstimateRequest(n_values=(5,), samples_per_n=10, master_seed=0, workers=workers)
+            EstimateRequest(n_values=(5,), samples_per_n=10, master_seed=0, mode="types-only",
+                            workers=workers)
 
     def test_error_row_quotes_its_message(self):
         est = DensityEstimate(n=7, samples=10, mode="types-only", count_zero=None,
@@ -99,13 +107,8 @@ class TestEstimate:
 
 class TestSweep:
     def test_empty_is_empty(self):
-        req = EstimateRequest(n_values=(), samples_per_n=10, master_seed=0)
+        req = EstimateRequest(n_values=(), samples_per_n=10, master_seed=0, mode="types-only")
         assert list(sweep(req)) == []
-
-    def test_auto_mode_split(self):
-        req = EstimateRequest(n_values=(10, 301), samples_per_n=1, master_seed=0)
-        assert req.mode_for(10) == "full-eval"
-        assert req.mode_for(301) == "types-only"
 
     def test_rows_and_csv(self):
         req = EstimateRequest(
@@ -129,7 +132,7 @@ class TestSweep:
         assert "error:" in rows[1].csv_row()
 
     def test_per_n_seeds_differ(self):
-        req = EstimateRequest(n_values=(8, 9), samples_per_n=10, master_seed=5)
+        req = EstimateRequest(n_values=(8, 9), samples_per_n=10, master_seed=5, mode="full-eval")
         rows = list(sweep(req))
         assert rows[0].master_seed != rows[1].master_seed
 
