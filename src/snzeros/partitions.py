@@ -27,6 +27,18 @@ class Partition:
 
     parts: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        """Raise NonPositivePart on an entry < 1, NotWeaklyDecreasing on an increase."""
+        parts = self.parts
+        if list(parts) == sorted(parts, reverse=True) and (not parts or parts[-1] >= 1):
+            return  # valid, checked at C speed: the sampler builds one per draw
+        for p in parts:
+            if p < 1:
+                raise NonPositivePart(f"part {p} is not a positive integer")
+        for a, b in zip(parts, parts[1:]):
+            if a < b:
+                raise NotWeaklyDecreasing(f"parts {a},{b} are out of order")
+
     @cached_property
     def n(self) -> int:
         return sum(self.parts)
@@ -43,19 +55,8 @@ class Partition:
 
 
 def from_parts(parts: Sequence[int] | Iterable[int]) -> Partition:
-    """Validate a sequence of parts and return the Partition it defines.
-
-    Raises NonPositivePart if any entry is < 1 and NotWeaklyDecreasing if
-    the entries ever increase.
-    """
-    t = tuple(parts)
-    for p in t:
-        if p < 1:
-            raise NonPositivePart(f"part {p} is not a positive integer")
-    for a, b in zip(t, t[1:]):
-        if a < b:
-            raise NotWeaklyDecreasing(f"parts {a},{b} are out of order")
-    return Partition(t)
+    """The Partition with these parts; Partition itself rejects invalid parts."""
+    return Partition(tuple(parts))
 
 
 def parse_code(text: str) -> int:
@@ -109,26 +110,34 @@ def remove_rim_hooks(bag: dict[int, int], t: int) -> dict[int, int]:
     Every t-rim hook of every word in the bag is removed: flip a 1-bit and
     the 0-bit t walk steps later, with sign -1 to the number of 0-bits
     strictly between them.  Equal shapes are merged and zero coefficients
-    dropped.  The removals of one word are inserted by descending walk index
-    of the flipped 1-bit.
+    dropped; the result has no particular order.  The bag is consumed as it
+    is read and is empty on return, so a step holds the new bag and only the
+    hash table of the old one.
     """
-    inner = (1 << (t - 1)) - 1
+    parity = t & 1
     new: dict[int, int] = {}
     get = new.get
-    for w, c in bag.items():
+    pop = bag.popitem
+    while bag:
+        w, c = pop()
         mask = (w >> t) & ~w  # bit q set: 1-bit at q + t, 0-bit at q
         while mask:
             low = mask & -mask
             mask ^= low
-            q = low.bit_length() - 1
-            nw = w ^ (low << t) ^ low
-            while nw & 1:
-                nw >>= 1
-            if (t - 1 - ((w >> (q + 1)) & inner).bit_count()) & 1:
+            window = (low << t) - low  # bits q..q+t-1, and bit q of w is 0
+            nw = w - window  # clears bit q + t and sets bit q
+            if low == 1:  # only a hook at q = 0 leaves trailing 1-bits
+                while nw & 1:
+                    nw >>= 1
+            # k 1-bits in the window leave t - 1 - k 0-bits: odd iff k, t agree mod 2
+            if (w & window).bit_count() & 1 == parity:
                 new[nw] = get(nw, 0) - c
             else:
                 new[nw] = get(nw, 0) + c
-    return {w: c for w, c in new.items() if c}
+    if 0 in new.values():
+        for w in [w for w, c in new.items() if not c]:
+            del new[w]
+    return new
 
 
 def dimension(word: int) -> int:

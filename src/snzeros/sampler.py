@@ -29,8 +29,6 @@ from .ptable import PartitionCountTable
 
 RNG_NAME = "mt19937-sha256stream"
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class SampleStream:
@@ -39,26 +37,29 @@ class SampleStream:
     master_seed: int
     index: int
 
+    def __post_init__(self) -> None:
+        check_u64("master seed", self.master_seed)
+        check_u64("stream index", self.index)
+
 
 def check_u64(name: str, value: int) -> None:
     """Reject a seed or stream index that a stream could not use exactly as given."""
-    if not 0 <= value <= _MASK64:
+    if not 0 <= value < 1 << 64:
         raise SnZerosError(f"{name} must be in [0, 2^64), got {value}")
 
 
 def stream_rng(stream: SampleStream) -> random.Random:
     """Fresh generator for a stream; identical streams always yield identical bits."""
     seed = hashlib.sha256(
-        (stream.master_seed & _MASK64).to_bytes(8, "big")
-        + stream.index.to_bytes(8, "big")
+        stream.master_seed.to_bytes(8, "big") + stream.index.to_bytes(8, "big")
     ).digest()
     return random.Random(seed)
 
 
 def derive_seed(master_seed: int, n: int) -> int:
-    """Per-n 64-bit seed for sweeps, derived by hashing (master_seed, n)."""
+    """Per-n 64-bit seed for sweeps from (master_seed, n), both checked by check_u64."""
     digest = hashlib.sha256(
-        b"sweep" + (master_seed & _MASK64).to_bytes(8, "big") + n.to_bytes(8, "big")
+        b"sweep" + master_seed.to_bytes(8, "big") + n.to_bytes(8, "big")
     ).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -96,6 +97,8 @@ def _divisors(s: int) -> list[int]:
 
 def random_partition(n: int, stream: SampleStream, table: PartitionCountTable) -> Partition:
     """One partition of n, uniform with probability exactly 1/p(n)."""
+    if n < 0:
+        raise SnZerosError(f"n must be >= 0, got {n}")
     if n > table.max_n:
         raise ResourceLimit(f"n={n} exceeds table max_n={table.max_n}")
     rng = stream_rng(stream)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from snzeros import (
 )
 
 import checks
+from oracles import naive_character
 
 
 def all_partitions(n):
@@ -50,6 +53,17 @@ class TestCharacter:
 
     def test_agrees_with_naive_recursion(self):
         checks.check_naive_mn_agreement(max_n=9)
+
+    @pytest.mark.parametrize("n", [12, 18, 24, 30])
+    def test_runs_of_twos_agree_with_naive_recursion(self, n):
+        # mu = 2^k 1^(n-2k): a long run of equal small parts, where the bag of
+        # shapes grows largest (the slowest benchmark pairs are of this kind)
+        rnd = random.Random(n)
+        shapes = list(partitions_of(n))
+        for k in (n // 3, n // 2 - 1, n // 2):
+            mu = (2,) * k + (1,) * (n - 2 * k)
+            for lam in rnd.sample(shapes, 3):
+                assert character(Partition(lam), Partition(mu)) == naive_character(lam, mu)
 
     @given(st.integers(2, 11), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from snzeros import (
     NotWeaklyDecreasing,
     Partition,
     SnZerosError,
+    character,
     decode,
     dimension,
     encode,
@@ -16,11 +19,22 @@ from snzeros import (
 from snzeros.partitions import parse_code, remove_rim_hooks
 
 import checks
-from oracles import conjugate, dimension_hook_formula, hooks_arm_leg
+from oracles import border_strip_removals, conjugate, dimension_hook_formula, hooks_arm_leg
 
 
 parts_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(
     lambda xs: tuple(sorted(xs, reverse=True))
+)
+
+# signed bags of shapes of one weight; coefficients are small so that words
+# often cancel on a shape
+signed_bags = st.integers(2, 10).flatmap(
+    lambda n: st.dictionaries(
+        st.sampled_from(list(partitions_of(n))),
+        st.integers(-2, 2).filter(bool),
+        min_size=2,
+        max_size=8,
+    )
 )
 
 
@@ -41,6 +55,36 @@ class TestFromParts:
     def test_rejects_increasing(self):
         with pytest.raises(NotWeaklyDecreasing):
             from_parts([1, 3])
+
+
+class TestPartitionValidates:
+    def test_rejects_increasing(self):
+        with pytest.raises(NotWeaklyDecreasing, match="parts 1,2 are out of order"):
+            Partition((1, 2))
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(NonPositivePart, match="part 0 is not a positive integer"):
+            Partition((2, 0))
+
+    def test_nonpositive_is_reported_before_order(self):
+        with pytest.raises(NonPositivePart, match="part -1"):
+            Partition((1, 3, -1))
+
+    def test_unsorted_cycle_type_cannot_reach_character(self):
+        # an MN loop that stops at the first 1 would return 2 here, not 0
+        with pytest.raises(NotWeaklyDecreasing):
+            character(Partition((2, 1)), Partition((1, 2)))
+
+    @given(st.lists(st.integers(-2, 6), max_size=8))
+    def test_accepts_exactly_weakly_decreasing_positive_tuples(self, xs):
+        t = tuple(xs)
+        valid = all(p >= 1 for p in t) and list(t) == sorted(t, reverse=True)
+        try:
+            Partition(t)
+        except (NonPositivePart, NotWeaklyDecreasing):
+            assert not valid
+        else:
+            assert valid
 
 
 class TestEncodeDecode:
@@ -124,6 +168,36 @@ class TestCoresAndRimHooks:
 
     def test_core_equivalence_exhaustive(self):
         checks.check_core_equivalence(max_n=15)
+
+
+class TestRimHookKernel:
+    """remove_rim_hooks on multi-word signed bags, against the cell-set oracle."""
+
+    def test_two_words_cancel_on_one_shape(self):
+        # (3,1) -> (1,1) with sign +1 and (2,2) -> (1,1) with sign -1
+        bag = {encode(Partition((3, 1))): 1, encode(Partition((2, 2))): 1}
+        assert remove_rim_hooks(bag, 2) == {encode(Partition((2,))): 1}
+        assert bag == {}
+
+    @given(signed_bags, st.integers(1, 6))
+    def test_bag_is_merge_of_word_results(self, shapes, t):
+        want = Counter()
+        for parts, c in shapes.items():
+            for kappa, height in border_strip_removals(parts, t):
+                want[encode(Partition(kappa))] += c * (-1) ** height
+        bag = {encode(Partition(parts)): c for parts, c in shapes.items()}
+        assert remove_rim_hooks(bag, t) == {w: c for w, c in want.items() if c}
+        assert bag == {}
+
+    @given(signed_bags)
+    def test_one_cell_hooks_are_positive(self, shapes):
+        # every 1-hook has sign +1, so each corner removal adds c unchanged
+        want = Counter()
+        for parts, c in shapes.items():
+            for kappa, _ in border_strip_removals(parts, 1):
+                want[encode(Partition(kappa))] += c
+        bag = {encode(Partition(parts)): c for parts, c in shapes.items()}
+        assert remove_rim_hooks(bag, 1) == {w: c for w, c in want.items() if c}
 
 
 class TestDimension:

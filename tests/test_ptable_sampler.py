@@ -93,6 +93,23 @@ class TestStreams:
         assert derive_seed(42, 10) == derive_seed(42, 10)
         assert derive_seed(42, 10) != derive_seed(42, 11)
 
+    @pytest.mark.parametrize("seed, index, field", [
+        (-1, 0, "master seed"),
+        (2**64, 0, "master seed"),
+        (0, -1, "stream index"),
+        (0, 2**64, "stream index"),
+    ])
+    def test_stream_rejects_values_outside_u64(self, seed, index, field):
+        # a stream uses its seed and index exactly as given, or rejects them
+        with pytest.raises(SnZerosError, match=field):
+            SampleStream(seed, index)
+
+    def test_stream_accepts_u64_extremes(self):
+        top = 2**64 - 1
+        assert stream_rng(SampleStream(top, top)).getrandbits(64) != stream_rng(
+            SampleStream(0, 0)
+        ).getrandbits(64)
+
     @given(st.integers(min_value=1, max_value=10**12), st.integers(0, 2**32))
     @settings(max_examples=200)
     def test_uniform_below_in_range(self, bound, seed):
@@ -123,6 +140,13 @@ class TestRandomPartition:
         lines = (",".join(map(str, random_partition(n, SampleStream(7, i), table_50000).parts))
                  for i in range(20))
         assert _sha256_lines(lines) == digest
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(SnZerosError, match="n must be >= 0, got -3"):
+            random_partition(-3, SampleStream(0, 0), build_p_table(5))
+
+    def test_n0_is_empty(self):
+        assert random_partition(0, SampleStream(0, 0), build_p_table(0)) == Partition(())
 
     def test_table_must_cover_n(self):
         with pytest.raises(ResourceLimit):
