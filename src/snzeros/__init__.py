@@ -21,7 +21,6 @@ from .partitions import (
     decode,
     dimension,
     encode,
-    from_parts,
     is_t_core,
     partitions_of,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "decode",
     "dimension",
     "encode",
-    "from_parts",
     "is_t_core",
     "partitions_of",
     "random_partition",

@@ -8,6 +8,8 @@ weight are built together, each row a signed sum of whole rows of weight
 zeros number sum_t q(n,t) * c_t(n), where q(n,t) counts column shapes with
 largest part t and c_t(n) counts row shapes with no hook divisible by t,
 read off P(x) E(x^t)^t (E = prod (1 - x^i)), each E^t being E^(t-1) * E.
+Scans obey the scan cap; type-1 counts obey the type-1 cap and, for their
+p-table, the partition-table cap (ptable.check_cap).
 """
 
 from __future__ import annotations
@@ -15,21 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul, or_, sub
-from typing import Iterable
 
-from .errors import ResourceLimit, SnZerosError
+from .errors import SnZerosError
 from .mn import classify  # noqa: F401  module attribute the benchmark tracer patches
 from .partitions import Partition, encode, is_t_core, partitions_of, remove_rim_hooks
-from .ptable import build_p_table, env_cap, pentagonal_offsets
-
-_CAPS = {"scan": ("SNZ_SCAN_CAP", 20), "type-1 count": ("SNZ_TYPE1_CAP", 20000)}  # (env, default)
-
-
-def check_cap(what: str, ns: Iterable[int], cap: int | None = None) -> None:
-    """ResourceLimit for the first n of ns over the `what` cap (its variable's unless given)."""
-    cap = env_cap(*_CAPS[what]) if cap is None else cap
-    if over := [n for n in ns if n > cap]:
-        raise ResourceLimit(f"n={over[0]} exceeds {what} cap {cap}")
+from .ptable import build_p_table, check_cap, pentagonal_offsets
 
 
 def ratio_decimal(num: int, den: int, digits: int = 6) -> str:
@@ -52,25 +44,14 @@ class ScanResult:
     type1_count: int
     type2_count: int
 
-    def z(self, digits: int = 6) -> str:
-        return ratio_decimal(self.zero_count, self.total_entries, digits)
-
-    def z1(self, digits: int = 6) -> str:
-        return ratio_decimal(self.type1_count, self.total_entries, digits)
-
-    def z2(self, digits: int = 6) -> str:
-        return ratio_decimal(self.type2_count, self.total_entries, digits)
-
-    def type1_over_zero(self, digits: int = 3) -> str:
-        """The exact-census headline ratio (type-1 zeros) / (all zeros)."""
-        return ratio_decimal(self.type1_count, self.zero_count, digits)
+    def type1_over_zero(self) -> str:
+        """The exact-census headline ratio (type-1 zeros) / (all zeros), to 3 decimals."""
+        return ratio_decimal(self.type1_count, self.zero_count, 3)
 
 
-def full_table_scan(n: int, cap: int | None = None) -> ScanResult:
+def full_table_scan(n: int) -> ScanResult:
     """Tally zeros, type-1 and type-2 zeros over all (lam, mu) pairs of weight n."""
-    check_cap("scan", (n,), cap)
-    if n < 0:
-        raise SnZerosError(f"scan needs n >= 0, got n={n}")
+    check_cap("scan", (n,))
     words = [[encode(Partition(p)) for p in partitions_of(m)] for m in range(n + 1)]
     index = [{w: i for i, w in enumerate(row)} for row in words]
     # core[t] has bit i set iff row i of weight n has no hook divisible by t
@@ -111,15 +92,14 @@ def times_e(g: list[int], deg: int, odd: list[int], even: list[int]) -> list[int
     return h
 
 
-def count_t_cores(n: int, t: int, pcounts: tuple[int, ...] | None = None) -> int:
+def count_t_cores(n: int, t: int) -> int:
     """c_t(n), partitions of n with no hook divisible by t: sum_j E^t_j * p(n - t*j).
 
-    E^t up to degree n // t is t steps of times_e; p = pcounts, else p(0..n) under the table cap.
+    E^t up to degree n // t is t steps of times_e; p(0..n) is built under the table cap.
     """
     if n < 0 or t < 1:
         raise SnZerosError(f"c_t(n) needs n >= 0 and t >= 1, got n={n}, t={t}")
-    if pcounts is None or len(pcounts) <= n:  # pcounts[n::-t] of a short table starts at its end
-        pcounts = build_p_table(n).counts
+    pcounts = build_p_table(n).counts
     deg = n // t
     odd, even = pentagonal_offsets(deg)
     g = [1] + [0] * deg
@@ -128,15 +108,13 @@ def count_t_cores(n: int, t: int, pcounts: tuple[int, ...] | None = None) -> int
     return sum(map(mul, g, pcounts[n::-t]))
 
 
-def count_max_part(n: int, pcounts: tuple[int, ...] | None = None) -> list[int]:
+def count_max_part(n: int, pcounts: tuple[int, ...]) -> list[int]:
     """q[t] = number of partitions of n with largest part exactly t, 1 <= t <= n.
 
     Euler's prod_{i>t} (1 - x^i) = sum_r (-1)^r x^(rt + r(r+1)/2) / prod_{i<=r} (1 - x^i)
     gives q(n,t) = sum_r (-1)^r F_r[n - t - rt - r(r+1)/2] with F_r = P / prod_{i<=r} (1 - x^i),
-    r < sqrt(2n) and P from pcounts (built under the partition-table cap when not given).
+    r < sqrt(2n) and P = pcounts, which must cover p(0..n - 1).
     """
-    if pcounts is None:
-        pcounts = build_p_table(n).counts
     f = list(pcounts[:n])  # F_0 = P
     q = [0, *reversed(f)]  # the r = 0 term, p(n - t)
     r = 1
@@ -149,10 +127,10 @@ def count_max_part(n: int, pcounts: tuple[int, ...] | None = None) -> list[int]:
     return q
 
 
-def count_type1(n: int, cap: int | None = None) -> int:
-    """Exact number of type-1 zeros in the character table of weight n."""
-    check_cap("type-1 count", (n,), cap)
-    pcounts = build_p_table(n, cap=n + 1).counts
+def count_type1(n: int) -> int:
+    """Exact number of type-1 zeros of the weight-n table; n obeys the type-1 and table caps."""
+    check_cap("type-1 count", (n,))
+    pcounts = build_p_table(n).counts
     q = count_max_part(n, pcounts)
     odd, even = pentagonal_offsets(n // 2)
     # t = 1 adds nothing (c_1(n) = 0 for n >= 1), so E is only stepped from

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .census import check_cap, count_t_cores, count_type1, full_table_scan
+from .census import count_t_cores, count_type1, full_table_scan, ratio_decimal
 from .errors import ResourceLimit, SnZerosError
 from .mn import character, classify
 from .montecarlo import (
@@ -26,8 +26,8 @@ from .montecarlo import (
     sweep,
     write_csv,
 )
-from .partitions import Partition, decode, encode, from_parts, parse_code
-from .ptable import build_p_table, ptable_cap
+from .partitions import Partition, decode, encode, parse_code
+from .ptable import build_p_table, check_cap, size_cap
 from .sampler import SampleStream, check_u64, random_partition
 
 
@@ -45,7 +45,7 @@ def parse_partition(text: str) -> Partition:
     if text.strip() == "":
         return Partition(())
     try:
-        return from_parts(int(x) for x in text.split(","))
+        return Partition(tuple(int(x) for x in text.split(",")))
     except (ValueError, SnZerosError) as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from exc
 
@@ -62,8 +62,9 @@ def parse_range(text: str) -> list[int]:
             raise argparse.ArgumentTypeError("range step must be >= 1")
         if a > b:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        if (b - a) // step > ptable_cap():  # a longer range holds an n no command accepts
-            raise argparse.ArgumentTypeError(f"range {text!r} has over {ptable_cap() + 1} values")
+        cap = size_cap("partition-table")
+        if (b - a) // step > cap:  # a longer range holds an n no command accepts
+            raise argparse.ArgumentTypeError(f"range {text!r} has over {cap + 1} values")
         return list(range(a, b + 1, step))
     return [int(x) for x in text.split(",")]
 
@@ -75,10 +76,10 @@ def _auto_workers(value: str) -> int:
 
 
 def _scan_csv_row(res) -> str:
-    return (
-        f"{res.n},{res.total_entries},exact,{res.zero_count},{res.type1_count},"
-        f"{res.type2_count},{res.z()},{res.z1()},{res.z2()},,,"
-    )
+    counts = (res.zero_count, res.type1_count, res.type2_count)
+    densities = (ratio_decimal(c, res.total_entries) for c in counts)
+    # a scan row leaves master_seed, rng_name and elapsed_seconds empty
+    return ",".join(map(str, (res.n, res.total_entries, "exact", *counts, *densities))) + ",,,"
 
 
 def build_parser() -> _Parser:
@@ -189,7 +190,7 @@ def run(argv: list[str]) -> int:
             write_csv(sweep(request), sys.stdout)
 
     elif args.command == "scan":
-        check_cap("scan", args.n)  # before any row is computed
+        check_cap("scan", args.n)  # every n, before any row is computed
         for i, n in enumerate(args.n):
             res = full_table_scan(n)
             if i == 0:  # an invalid first n leaves stdout empty
@@ -201,6 +202,7 @@ def run(argv: list[str]) -> int:
 
     elif args.command == "count-type1":
         check_cap("type-1 count", args.n)
+        check_cap("partition-table", args.n)  # count_type1 builds p(0..n)
         for n in args.n:
             print(count_type1(n), flush=True)
 

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, TextIO
 from .census import ratio_decimal
 from .errors import InvalidMode, ResourceLimit, SnZerosError
 from .mn import classify
-from .ptable import PartitionCountTable, build_p_table, ptable_cap
+from .ptable import PartitionCountTable, build_p_table, size_cap
 from .sampler import RNG_NAME, SampleStream, check_u64, derive_seed, random_partition
 
 MODES = ("full-eval", "types-only")
@@ -135,7 +135,7 @@ def estimate(
     n: int,
     samples: int,
     master_seed: int,
-    mode: str = "full-eval",
+    mode: str,
     workers: int = 1,
     table: PartitionCountTable | None = None,
 ) -> DensityEstimate:
@@ -182,7 +182,7 @@ def sweep(request: EstimateRequest) -> Iterator[DensityEstimate]:
     estimate instead of aborting the rest of the sweep.
     """
     # cover as much as the cap allows; capped-out n values become error rows
-    table = build_p_table(min(max(request.n_values, default=0), ptable_cap()))
+    table = build_p_table(min(max(request.n_values, default=0), size_cap("partition-table")))
     for n in request.n_values:
         seed_n = derive_seed(request.master_seed, n)
         try:

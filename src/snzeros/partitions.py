@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .errors import NonPositivePart, NotWeaklyDecreasing, SnZerosError
 
@@ -43,20 +43,8 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-def from_parts(parts: Sequence[int] | Iterable[int]) -> Partition:
-    """The Partition with these parts; Partition itself rejects invalid parts."""
-    return Partition(tuple(parts))
 
 
 def parse_code(text: str) -> int:

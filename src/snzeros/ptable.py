@@ -5,20 +5,32 @@ recurrence and shared read-only afterwards; every count is an exact
 Python integer (p(50000) has a couple hundred digits).  The pentagonal
 offsets are listed once, split by sign, for this recurrence and census's
 c_t(n) series; each p(m) then needs no per-term index arithmetic.
+
+The size caps live here too: CAPS gives each cap's environment variable
+and default, size_cap reads the variable on every call, and check_cap is
+the one check through which table builds, censuses and CLI ranges pass
+each n.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ResourceLimit, SnZerosError
 
-DEFAULT_PTABLE_CAP = 100_000
+# what -> (environment variable, default) of each size cap
+CAPS = {
+    "scan": ("SNZ_SCAN_CAP", 20),
+    "type-1 count": ("SNZ_TYPE1_CAP", 20000),
+    "partition-table": ("SNZ_PTABLE_CAP", 100_000),
+}
 
 
-def env_cap(name: str, default: int) -> int:
-    """A size cap from environment variable `name`, or `default` when it is unset."""
+def size_cap(what: str) -> int:
+    """The `what` cap: its variable's value, or its default when the variable is unset."""
+    name, default = CAPS[what]
     text = os.environ.get(name)
     if text is None:
         return default
@@ -31,9 +43,14 @@ def env_cap(name: str, default: int) -> int:
     return cap
 
 
-def ptable_cap() -> int:
-    """Configured maxN cap; override with the SNZ_PTABLE_CAP environment variable."""
-    return env_cap("SNZ_PTABLE_CAP", DEFAULT_PTABLE_CAP)
+def check_cap(what: str, ns: Iterable[int]) -> None:
+    """SnZerosError for the first n of ns below 0, ResourceLimit for the first over the `what` cap."""
+    cap = size_cap(what)
+    for n in ns:
+        if n < 0:
+            raise SnZerosError(f"{what} needs n >= 0, got n={n}")
+        if n > cap:
+            raise ResourceLimit(f"n={n} exceeds {what} cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -59,18 +76,13 @@ def pentagonal_offsets(max_deg: int) -> tuple[list[int], list[int]]:
     return odd, even
 
 
-def build_p_table(max_n: int, cap: int | None = None) -> PartitionCountTable:
-    """Exact p(0..max_n) via the pentagonal-number recurrence.
+def build_p_table(max_n: int) -> PartitionCountTable:
+    """Exact p(0..max_n) via the pentagonal-number recurrence, under the partition-table cap.
 
     p(m) = sum_{g in odd} p(m - g) - sum_{g in even} p(m - g), with the
     offsets of pentagonal_offsets.
     """
-    if max_n < 0:
-        raise SnZerosError(f"partition counts need n >= 0, got n={max_n}")
-    if cap is None:
-        cap = ptable_cap()
-    if max_n > cap:
-        raise ResourceLimit(f"max_n={max_n} exceeds partition-table cap {cap}")
+    check_cap("partition-table", (max_n,))
     odd, even = pentagonal_offsets(max_n)
     counts = [0] * (max_n + 1)
     counts[0] = 1

@@ -42,7 +42,7 @@ def report(criterion, ok, detail):
 def test_criterion_1_exact_ratios(scans):
     failures = []
     for n, want in EXPECTED_TYPE1_OVER_ZERO.items():
-        got = scans[n].type1_over_zero(digits=3)
+        got = scans[n].type1_over_zero()
         if got != want:
             failures.append((n, got, want))
     ok = report(1, not failures, f"exact type1/zero ratios for n=3..16 {failures or ''}")

@@ -114,6 +114,10 @@ def brute_core_count(n, t):
     return sum(1 for parts in partitions_of(n) if is_t_core(encode(Partition(parts)), t))
 
 
+def max_part_counts(n):
+    return count_max_part(n, build_p_table(n).counts)
+
+
 class TestCoreCounts:
     def test_invalid_arguments(self):
         for n, t in [(5, 0), (5, -2), (-1, 2)]:
@@ -139,31 +143,25 @@ class TestCoreCounts:
                 assert count_t_cores(n, t) == brute_core_count(n, t), (n, t)
 
     def test_series_and_single_coefficient_paths_agree(self):
-        pcounts = build_p_table(60).counts
         for n in (0, 1, 7, 23, 60):
             for t in (1, 2, 3, 5, 11, 31):
-                assert count_t_cores(n, t, pcounts) == dense_core_count(n, t), (n, t)
+                assert count_t_cores(n, t) == dense_core_count(n, t), (n, t)
 
     def test_matches_log_derivative_oracle(self):
         pcounts = build_p_table(120).counts
         for n in range(120):
             for t in range(1, n + 3):  # t > n counts every partition of n
-                assert count_t_cores(n, t, pcounts) == log_derivative_core_count(n, t, pcounts), (n, t)
-
-    def test_short_table_is_not_read_from_its_end(self):
-        short = build_p_table(10).counts
-        for t in range(1, 18):
-            assert count_t_cores(15, t, short) == brute_core_count(15, t), t
+                assert count_t_cores(n, t) == log_derivative_core_count(n, t, pcounts), (n, t)
 
     @pytest.mark.parametrize("t", [2, 3, 7, 50, 1000, 3000])
     def test_matches_log_derivative_oracle_at_3000(self, t):
         pcounts = build_p_table(3000).counts
-        assert count_t_cores(3000, t, pcounts) == log_derivative_core_count(3000, t, pcounts)
+        assert count_t_cores(3000, t) == log_derivative_core_count(3000, t, pcounts)
 
 
 class TestMaxPartCounts:
     def test_small(self):
-        q = count_max_part(4)
+        q = max_part_counts(4)
         assert q[4] == 1
         assert q[2] == 2  # (2,2) and (2,1,1)
         assert q[1] == 1
@@ -171,26 +169,26 @@ class TestMaxPartCounts:
     def test_total_is_partition_count(self):
         table = build_p_table(30)
         for n in range(1, 31):
-            assert sum(count_max_part(n)) == table.counts[n]
+            assert sum(max_part_counts(n)) == table.counts[n]
 
     def test_matches_bounded_part_oracle(self):
         for n in range(1, 60):
-            q = count_max_part(n)
+            q = max_part_counts(n)
             assert q[1:] == [bounded_part_count(n - t, t) for t in range(1, n + 1)], n
 
     @pytest.mark.parametrize("ns", [range(400), [1000, 5000]], ids=["n<400", "n=1000,5000"])
     def test_matches_rolling_dp_oracle(self, ns):
         for n in ns:
-            assert count_max_part(n) == rolling_max_part_counts(n), n
+            assert max_part_counts(n) == rolling_max_part_counts(n), n
 
     def test_given_pcounts(self):
-        pcounts = build_p_table(50).counts
+        pcounts = build_p_table(50).counts  # one table longer than n serves every n
         for n in range(51):
             assert count_max_part(n, pcounts) == rolling_max_part_counts(n), n
 
     def test_matches_enumeration(self):
         for n in range(1, 13):
-            q = count_max_part(n)
+            q = max_part_counts(n)
             for t in range(1, n + 1):
                 want = sum(1 for parts in partitions_of(n) if parts[0] == t)
                 assert q[t] == want, (n, t)
@@ -210,8 +208,8 @@ class TestCountType1:
         for n in range(1, 200):
             pcounts = build_p_table(n).counts
             q = count_max_part(n, pcounts)
-            full = sum(q[t] * count_t_cores(n, t, pcounts) for t in range(1, n + 1))
-            assert count_t_cores(n, 1, pcounts) == 0
+            full = sum(q[t] * count_t_cores(n, t) for t in range(1, n + 1))
+            assert count_t_cores(n, 1) == 0
             assert count_type1(n) == full, n
 
     def test_matches_log_derivative_oracle(self):
@@ -225,6 +223,7 @@ class TestCountType1:
         for n in range(3, 9):
             assert count_type1(n) == full_table_scan(n).type1_count, n
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimit):
-            count_type1(10, cap=9)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("SNZ_TYPE1_CAP", "9")
+        with pytest.raises(ResourceLimit, match="n=10 exceeds type-1 count cap 9"):
+            count_type1(10)

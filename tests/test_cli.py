@@ -173,6 +173,8 @@ class TestExitCodes:
         ["sweep", "--n", "18446744073709551616", "--samples", "1", "--mode", "full-eval"],
         ["decode", "--code", "0b12"],
         ["decode", "--code", ""],
+        ["scan", "--n", "3,-1"],  # a negative n anywhere fails before the first row
+        ["count-type1", "--n", "4,-1"],
     ])
     def test_invalid_census_input_is_one_line_error(self, argv):
         proc = subprocess.run(
@@ -221,6 +223,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, env", [
         (["scan", "--n", "19:21"], {}),
         (["count-type1", "--n", "28:32"], {"SNZ_TYPE1_CAP": "30"}),
+        (["count-type1", "--n", "50,500"], {"SNZ_PTABLE_CAP": "100"}),
     ])
     def test_range_over_cap_fails_before_any_work(self, argv, env):
         proc = subprocess.run(

@@ -36,7 +36,7 @@ class TestCharacter:
         for n in range(1, 11):
             col = Partition((1,) * n)
             for mu in all_partitions(n):
-                assert character(col, mu) == (-1) ** (n - mu.length)
+                assert character(col, mu) == (-1) ** (n - len(mu.parts))
 
     def test_empty_on_empty(self):
         assert character(Partition(()), Partition(())) == 1

@@ -12,7 +12,6 @@ from snzeros import (
     decode,
     dimension,
     encode,
-    from_parts,
     is_t_core,
     partitions_of,
 )
@@ -39,22 +38,23 @@ signed_bags = st.integers(2, 10).flatmap(
 
 
 class TestFromParts:
+    """A Partition built from a tuple of parts."""
+
     def test_basic(self):
-        lam = from_parts([6, 5, 3, 2, 1, 1])
+        lam = Partition((6, 5, 3, 2, 1, 1))
         assert lam.n == 18
-        assert lam.length == 6
+        assert len(lam.parts) == 6
 
     def test_empty_is_partition_of_zero(self):
-        assert from_parts([]) == Partition(())
-        assert from_parts([]).n == 0
+        assert Partition(()).n == 0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositivePart):
-            from_parts([3, 0])
+            Partition((3, 0))
 
     def test_rejects_increasing(self):
         with pytest.raises(NotWeaklyDecreasing):
-            from_parts([1, 3])
+            Partition((1, 3))
 
 
 class TestPartitionValidates:

@@ -1,5 +1,7 @@
 import hashlib
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from snzeros import (
     random_partition,
 )
 from snzeros.census import count_type1, full_table_scan
-from snzeros.ptable import pentagonal_offsets
+from snzeros.ptable import CAPS, pentagonal_offsets
 from snzeros.sampler import derive_seed, stream_rng, uniform_below
 
 from oracles import bounded_part_count
@@ -58,9 +60,11 @@ class TestPartitionCountTable:
         for m in range(201):
             assert table.counts[m] == bounded_part_count(m, m if m else 1)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ResourceLimit):
-            build_p_table(101, cap=100)
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("SNZ_PTABLE_CAP", "100")
+        assert len(build_p_table(100).counts) == 101
+        with pytest.raises(ResourceLimit, match="n=101 exceeds partition-table cap 100"):
+            build_p_table(101)
 
     def test_negative_n(self):
         with pytest.raises(SnZerosError):
@@ -76,6 +80,12 @@ class TestPartitionCountTable:
         monkeypatch.setenv(var, value)
         with pytest.raises(SnZerosError, match=var):
             call()
+
+    @pytest.mark.parametrize("var, default", CAPS.values())
+    def test_readme_names_each_cap_default(self, var, default):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        # the variable, then its parenthesised note, which gives the default
+        assert re.search(rf"`{var}`\s*\([^)]*\bdefault {default}\b", readme), var
 
 
 class TestStreams:
