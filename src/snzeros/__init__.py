@@ -24,7 +24,7 @@ from .partitions import (
     is_t_core,
     partitions_of,
 )
-from .ptable import PartitionCountTable, build_p_table
+from .ptable import build_p_table
 from .sampler import RNG_NAME, SampleStream, random_partition
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "NonPositivePart",
     "NotWeaklyDecreasing",
     "Partition",
-    "PartitionCountTable",
     "RNG_NAME",
     "ResourceLimit",
     "SampleStream",

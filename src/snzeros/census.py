@@ -99,7 +99,7 @@ def count_t_cores(n: int, t: int) -> int:
     """
     if n < 0 or t < 1:
         raise SnZerosError(f"c_t(n) needs n >= 0 and t >= 1, got n={n}, t={t}")
-    pcounts = build_p_table(n).counts
+    pcounts = build_p_table(n)
     deg = n // t
     odd, even = pentagonal_offsets(deg)
     g = [1] + [0] * deg
@@ -130,7 +130,7 @@ def count_max_part(n: int, pcounts: tuple[int, ...]) -> list[int]:
 def count_type1(n: int) -> int:
     """Exact number of type-1 zeros of the weight-n table; n obeys the type-1 and table caps."""
     check_cap("type-1 count", (n,))
-    pcounts = build_p_table(n).counts
+    pcounts = build_p_table(n)
     q = count_max_part(n, pcounts)
     odd, even = pentagonal_offsets(n // 2)
     # t = 1 adds nothing (c_1(n) = 0 for n >= 1), so E is only stepped from

@@ -15,13 +15,14 @@ import os
 import sys
 
 from . import __version__
-from .census import count_t_cores, count_type1, full_table_scan, ratio_decimal
+from .census import count_t_cores, count_type1, full_table_scan
 from .errors import ResourceLimit, SnZerosError
 from .mn import character, classify
 from .montecarlo import (
     CSV_HEADER,
     MODES,
     EstimateRequest,
+    format_row,
     request_metadata,
     sweep,
     write_csv,
@@ -73,13 +74,6 @@ def _auto_workers(value: str) -> int:
     if value == "auto":
         return os.cpu_count() or 1
     return int(value)
-
-
-def _scan_csv_row(res) -> str:
-    counts = (res.zero_count, res.type1_count, res.type2_count)
-    densities = (ratio_decimal(c, res.total_entries) for c in counts)
-    # a scan row leaves master_seed, rng_name and elapsed_seconds empty
-    return ",".join(map(str, (res.n, res.total_entries, "exact", *counts, *densities))) + ",,,"
 
 
 def build_parser() -> _Parser:
@@ -185,17 +179,18 @@ def run(argv: list[str]) -> int:
             with open(args.out, "w") as fh:
                 write_csv(sweep(request), fh)
             with open(args.out + ".meta.json", "w") as fh:
-                fh.write(request_metadata(request, __version__) + "\n")
+                fh.write(request_metadata(request) + "\n")
         else:
             write_csv(sweep(request), sys.stdout)
 
     elif args.command == "scan":
-        check_cap("scan", args.n)  # every n, before any row is computed
-        for i, n in enumerate(args.n):
+        check_cap("scan", args.n)  # every n, before any output
+        print(CSV_HEADER)
+        for n in args.n:
             res = full_table_scan(n)
-            if i == 0:  # an invalid first n leaves stdout empty
-                print(CSV_HEADER)
-            print(_scan_csv_row(res), flush=True)
+            counts = (res.zero_count, res.type1_count, res.type2_count)
+            # exact rows leave master_seed, rng_name and elapsed_seconds empty
+            print(format_row(n, res.total_entries, "exact", counts, (None, None, None)), flush=True)
             if args.ratio:  # tables with n <= 2 have no zeros
                 ratio = res.type1_over_zero() if res.zero_count else "undefined"
                 print(f"type1/zero = {ratio}", file=sys.stderr)
@@ -210,7 +205,7 @@ def run(argv: list[str]) -> int:
         print(count_t_cores(args.n, args.t))
 
     elif args.command == "pn":
-        print(build_p_table(args.n).counts[args.n])
+        print(build_p_table(args.n)[args.n])
 
     elif args.command == "encode":
         print(bin(encode(args.lam)))

@@ -9,6 +9,9 @@ of the worker count by construction.
 Modes: "full-eval" evaluates every character exactly and estimates all three
 densities; "types-only" runs just the cheap core tests (no zero count is
 fabricated).
+
+EstimateRequest is the one check of sweep inputs; format_row is the one
+formatter of the CSV schema that sweep, error and exact scan rows share.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, TextIO
 
+from . import __version__
 from .census import ratio_decimal
 from .errors import InvalidMode, ResourceLimit, SnZerosError
 from .mn import classify
-from .ptable import PartitionCountTable, build_p_table, size_cap
+from .ptable import build_p_table, check_cap, size_cap
 from .sampler import RNG_NAME, SampleStream, check_u64, derive_seed, random_partition
 
 MODES = ("full-eval", "types-only")
@@ -34,19 +38,26 @@ CSV_HEADER = (
 )
 
 
-def _check_inputs(n_values: Iterable[int], samples: int, master_seed: int, workers: int) -> None:
-    if samples < 1:
-        raise SnZerosError(f"need at least 1 sample per n, got {samples}")
-    if workers < 1:
-        raise SnZerosError(f"need at least 1 worker, got {workers}")
-    for n in n_values:  # n is hashed into the per-n seed
-        check_u64("n", n)
-    check_u64("master seed", master_seed)
+def format_row(n: int, samples: int, mode: str, counts: tuple, tail: tuple) -> str:
+    """One CSV_HEADER row from n, samples, mode, counts (zero, type1, type2) and tail.
+
+    A None count leaves its count and density fields empty.  tail is master_seed,
+    rng_name and elapsed_seconds as written, None for empty.  Fields are quoted as
+    csv.writer would.
+    """
+    densities = [None if c is None else ratio_decimal(c, samples) for c in counts]
+    fields = []
+    for x in (n, samples, mode, *counts, *densities, *tail):
+        x = "" if x is None else str(x)
+        if any(ch in x for ch in ',"\r\n'):
+            x = '"' + x.replace('"', '""') + '"'
+        fields.append(x)
+    return ",".join(fields)
 
 
 @dataclass(frozen=True)
 class EstimateRequest:
-    """One sweep: the same sample budget and mode over a list of n values."""
+    """One sweep: the same sample budget and mode over a list of n values, checked here."""
 
     n_values: tuple[int, ...]
     samples_per_n: int
@@ -57,7 +68,13 @@ class EstimateRequest:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise InvalidMode(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_inputs(self.n_values, self.samples_per_n, self.master_seed, self.workers)
+        if self.samples_per_n < 1:
+            raise SnZerosError(f"need at least 1 sample per n, got {self.samples_per_n}")
+        if self.workers < 1:
+            raise SnZerosError(f"need at least 1 worker, got {self.workers}")
+        for n in self.n_values:  # n is hashed into the per-n seed
+            check_u64("n", n)
+        check_u64("master seed", self.master_seed)
 
 
 @dataclass
@@ -75,31 +92,16 @@ class DensityEstimate:
     elapsed_seconds: float = 0.0
     error: str | None = None
 
-    def z_hat(self) -> str:
-        return "" if self.count_zero is None else ratio_decimal(self.count_zero, self.samples)
-
-    def z1_hat(self) -> str:
-        return ratio_decimal(self.count_type1, self.samples)
-
-    def z2_hat(self) -> str:
-        return ratio_decimal(self.count_type2, self.samples)
-
     def csv_row(self) -> str:
-        if self.error is not None:
-            msg = f"error:{self.error}"
-            if any(c in msg for c in ',"\r\n'):  # quote as csv.writer would
-                msg = '"' + msg.replace('"', '""') + '"'
-            return f"{self.n},{self.samples},{self.mode},,,,,,,{self.master_seed},{msg},"
-        cz = "" if self.count_zero is None else str(self.count_zero)
-        return (
-            f"{self.n},{self.samples},{self.mode},{cz},{self.count_type1},"
-            f"{self.count_type2},{self.z_hat()},{self.z1_hat()},{self.z2_hat()},"
-            f"{self.master_seed},{self.rng_name},{self.elapsed_seconds:.3f}"
-        )
+        counts = (self.count_zero, self.count_type1, self.count_type2)
+        tail = (self.master_seed, self.rng_name, f"{self.elapsed_seconds:.3f}")
+        if self.error is not None:  # no counts; rng_name carries the message
+            counts, tail = (None, None, None), (self.master_seed, f"error:{self.error}", None)
+        return format_row(self.n, self.samples, self.mode, counts, tail)
 
 
 def _tally_block(
-    table: PartitionCountTable,
+    table: tuple[int, ...],
     n: int,
     master_seed: int,
     start: int,
@@ -118,10 +120,10 @@ def _tally_block(
     return zero, type1, type2
 
 
-_POOL_TABLE: PartitionCountTable | None = None
+_POOL_TABLE: tuple[int, ...] | None = None
 
 
-def _pool_init(table: PartitionCountTable) -> None:
+def _pool_init(table: tuple[int, ...]) -> None:
     global _POOL_TABLE
     _POOL_TABLE = table
 
@@ -137,16 +139,15 @@ def estimate(
     master_seed: int,
     mode: str,
     workers: int = 1,
-    table: PartitionCountTable | None = None,
+    table: tuple[int, ...] | None = None,
 ) -> DensityEstimate:
-    """Estimate densities at one n from `samples` independent uniform pairs."""
-    if mode not in MODES:
-        raise InvalidMode(f"mode must be one of {MODES}, got {mode!r}")
-    _check_inputs((n,), samples, master_seed, workers)
+    """Estimate densities at one n from `samples` independent uniform pairs.
+
+    table is build_p_table(m) for some m >= n, built here when None.
+    """
+    EstimateRequest((n,), samples, master_seed, mode, workers)  # checks every input
     if table is None:
         table = build_p_table(n)
-    elif table.max_n < n:
-        raise ResourceLimit(f"table covers max_n={table.max_n} < n={n}")
     full_eval = mode == "full-eval"
     t0 = time.monotonic()
     if workers == 1:
@@ -186,25 +187,11 @@ def sweep(request: EstimateRequest) -> Iterator[DensityEstimate]:
     for n in request.n_values:
         seed_n = derive_seed(request.master_seed, n)
         try:
-            yield estimate(
-                n,
-                request.samples_per_n,
-                seed_n,
-                mode=request.mode,
-                workers=request.workers,
-                table=table,
-            )
+            check_cap("partition-table", (n,))  # the table stops at this cap
+            yield estimate(n, request.samples_per_n, seed_n, request.mode, request.workers, table)
         except ResourceLimit as exc:
-            yield DensityEstimate(
-                n=n,
-                samples=request.samples_per_n,
-                mode=request.mode,
-                count_zero=None,
-                count_type1=0,
-                count_type2=0,
-                master_seed=seed_n,
-                error=str(exc),
-            )
+            yield DensityEstimate(n, request.samples_per_n, request.mode, None, 0, 0, seed_n,
+                                  error=str(exc))
 
 
 def write_csv(rows: Iterable[DensityEstimate], out: TextIO) -> None:
@@ -217,12 +204,12 @@ def write_csv(rows: Iterable[DensityEstimate], out: TextIO) -> None:
         out.flush()
 
 
-def request_metadata(request: EstimateRequest, version: str) -> str:
+def request_metadata(request: EstimateRequest) -> str:
     """JSON sidecar describing a sweep run."""
     return json.dumps(
         {
             "tool": "snzeros",
-            "version": version,
+            "version": __version__,
             "rng_name": RNG_NAME,
             "request": asdict(request),
         },

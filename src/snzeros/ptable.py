@@ -1,10 +1,11 @@
-"""Exact partition-count table p(0..maxN).
+"""Exact partition-count table: the plain tuple (p(0), ..., p(max_n)).
 
 The table is built once per process with Euler's pentagonal-number
 recurrence and shared read-only afterwards; every count is an exact
-Python integer (p(50000) has a couple hundred digits).  The pentagonal
-offsets are listed once, split by sign, for this recurrence and census's
-c_t(n) series; each p(m) then needs no per-term index arithmetic.
+Python integer (p(50000) has a couple hundred digits), and the table
+covers every n up to len(table) - 1.  The pentagonal offsets are listed
+once, split by sign, for this recurrence and census's c_t(n) series; each
+p(m) then needs no per-term index arithmetic.
 
 The size caps live here too: CAPS gives each cap's environment variable
 and default, size_cap reads the variable on every call, and check_cap is
@@ -15,7 +16,6 @@ each n.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ResourceLimit, SnZerosError
@@ -53,14 +53,6 @@ def check_cap(what: str, ns: Iterable[int]) -> None:
             raise ResourceLimit(f"n={n} exceeds {what} cap {cap}")
 
 
-@dataclass(frozen=True)
-class PartitionCountTable:
-    """counts[m] = number of partitions of m, for 0 <= m <= max_n."""
-
-    max_n: int
-    counts: tuple[int, ...]
-
-
 def pentagonal_offsets(max_deg: int) -> tuple[list[int], list[int]]:
     """Generalized pentagonal numbers k(3k-1)/2 and k(3k+1)/2 up to max_deg.
 
@@ -76,8 +68,8 @@ def pentagonal_offsets(max_deg: int) -> tuple[list[int], list[int]]:
     return odd, even
 
 
-def build_p_table(max_n: int) -> PartitionCountTable:
-    """Exact p(0..max_n) via the pentagonal-number recurrence, under the partition-table cap.
+def build_p_table(max_n: int) -> tuple[int, ...]:
+    """(p(0), ..., p(max_n)) by the pentagonal-number recurrence, under the partition-table cap.
 
     p(m) = sum_{g in odd} p(m - g) - sum_{g in even} p(m - g), with the
     offsets of pentagonal_offsets.
@@ -97,4 +89,4 @@ def build_p_table(max_n: int) -> PartitionCountTable:
                 break
             total -= counts[m - g]
         counts[m] = total
-    return PartitionCountTable(max_n, tuple(counts))
+    return tuple(counts)

@@ -25,7 +25,6 @@ from functools import lru_cache
 
 from .errors import ResourceLimit, SnZerosError
 from .partitions import Partition
-from .ptable import PartitionCountTable
 
 RNG_NAME = "mt19937-sha256stream"
 
@@ -95,15 +94,15 @@ def _divisors(s: int) -> list[int]:
     return small + large[::-1]
 
 
-def random_partition(n: int, stream: SampleStream, table: PartitionCountTable) -> Partition:
-    """One partition of n, uniform with probability exactly 1/p(n)."""
+def random_partition(n: int, stream: SampleStream, p: tuple[int, ...]) -> Partition:
+    """One partition of n, uniform with probability exactly 1/p(n); p = build_p_table(max_n)."""
+    max_n = len(p) - 1
     if n < 0:
         raise SnZerosError(f"n must be >= 0, got {n}")
-    if n > table.max_n:
-        raise ResourceLimit(f"n={n} exceeds table max_n={table.max_n}")
+    if n > max_n:
+        raise ResourceLimit(f"n={n} exceeds table max_n={max_n}")
     rng = stream_rng(stream)
-    p = table.counts
-    sigma = _divisor_sums(table.max_n)
+    sigma = _divisor_sums(max_n)
     parts: list[int] = []
     m = n
     while m > 0:

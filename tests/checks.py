@@ -138,7 +138,7 @@ def check_sampler_chi_square(
         tallies: Counter = Counter()
         for i in range(samples):
             tallies[random_partition(n, SampleStream(master_seed + n, i), table).parts] += 1
-        p_n = table.counts[n]
+        p_n = table[n]
         expected = samples / p_n
         stat = sum((tallies[parts] - expected) ** 2 / expected for parts in partitions_of(n))
         critical = chi2.ppf(1 - significance, df=p_n - 1)

@@ -147,9 +147,9 @@ def test_criterion_8_type1_density_monotonicity_probe():
         n
         for n in range(lo, hi + 1)
         # z1(n) >= z1(n+1) compared exactly by cross-multiplication
-        if counts[n] * table.counts[n + 1] ** 2 < counts[n + 1] * table.counts[n] ** 2
+        if counts[n] * table[n + 1] ** 2 < counts[n + 1] * table[n] ** 2
     ]
-    sample = ratio_decimal(counts[lo], table.counts[lo] ** 2, 6)
+    sample = ratio_decimal(counts[lo], table[lo] ** 2, 6)
     report(
         8,
         not violations,

@@ -115,7 +115,7 @@ def brute_core_count(n, t):
 
 
 def max_part_counts(n):
-    return count_max_part(n, build_p_table(n).counts)
+    return count_max_part(n, build_p_table(n))
 
 
 class TestCoreCounts:
@@ -127,7 +127,7 @@ class TestCoreCounts:
     def test_t_larger_than_n_counts_everything(self):
         table = build_p_table(12)
         for n in range(13):
-            assert count_t_cores(n, n + 1) == table.counts[n]
+            assert count_t_cores(n, n + 1) == table[n]
 
     def test_two_cores_are_staircases(self):
         triangular = {k * (k + 1) // 2 for k in range(10)}
@@ -148,14 +148,14 @@ class TestCoreCounts:
                 assert count_t_cores(n, t) == dense_core_count(n, t), (n, t)
 
     def test_matches_log_derivative_oracle(self):
-        pcounts = build_p_table(120).counts
+        pcounts = build_p_table(120)
         for n in range(120):
             for t in range(1, n + 3):  # t > n counts every partition of n
                 assert count_t_cores(n, t) == log_derivative_core_count(n, t, pcounts), (n, t)
 
     @pytest.mark.parametrize("t", [2, 3, 7, 50, 1000, 3000])
     def test_matches_log_derivative_oracle_at_3000(self, t):
-        pcounts = build_p_table(3000).counts
+        pcounts = build_p_table(3000)
         assert count_t_cores(3000, t) == log_derivative_core_count(3000, t, pcounts)
 
 
@@ -169,7 +169,7 @@ class TestMaxPartCounts:
     def test_total_is_partition_count(self):
         table = build_p_table(30)
         for n in range(1, 31):
-            assert sum(max_part_counts(n)) == table.counts[n]
+            assert sum(max_part_counts(n)) == table[n]
 
     def test_matches_bounded_part_oracle(self):
         for n in range(1, 60):
@@ -182,7 +182,7 @@ class TestMaxPartCounts:
             assert max_part_counts(n) == rolling_max_part_counts(n), n
 
     def test_given_pcounts(self):
-        pcounts = build_p_table(50).counts  # one table longer than n serves every n
+        pcounts = build_p_table(50)  # one table longer than n serves every n
         for n in range(51):
             assert count_max_part(n, pcounts) == rolling_max_part_counts(n), n
 
@@ -206,7 +206,7 @@ class TestCountType1:
     def test_skipping_t1_keeps_the_full_sum(self):
         # count_type1 sums from t = 2 because c_1(n) = 0 for n >= 1
         for n in range(1, 200):
-            pcounts = build_p_table(n).counts
+            pcounts = build_p_table(n)
             q = count_max_part(n, pcounts)
             full = sum(q[t] * count_t_cores(n, t) for t in range(1, n + 1))
             assert count_t_cores(n, 1) == 0
@@ -214,7 +214,7 @@ class TestCountType1:
 
     def test_matches_log_derivative_oracle(self):
         for n in range(200):
-            pcounts = build_p_table(n).counts
+            pcounts = build_p_table(n)
             q = count_max_part(n, pcounts)
             want = sum(q[t] * log_derivative_core_count(n, t, pcounts) for t in range(1, n + 1))
             assert count_type1(n) == want, n

@@ -1,8 +1,10 @@
+import csv
 import io
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -79,8 +81,9 @@ class TestCommands:
         status, out = invoke(capsys, "scan", "--n", "4")
         assert status == 0
         header, row = out.splitlines()
-        fields = row.split(",")
-        assert fields[0:6] == ["4", "25", "exact", "4", "3", "3"]
+        (fields,) = csv.reader([row])
+        assert fields == ["4", "25", "exact", "4", "3", "3",
+                          "0.160000", "0.120000", "0.120000", "", "", ""]
 
     def test_scan_range_matches_single_n(self, capsys):
         _, out = invoke(capsys, "scan", "--n", "3:5")
@@ -127,6 +130,22 @@ class TestCommands:
         # wall-clock column may differ; counts must not
         strip = lambda text: [",".join(l.split(",")[:-1]) for l in text.splitlines()]
         assert strip(a) == strip(b)
+
+
+class TestReadme:
+    def test_command_line_examples_print_their_comment(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        checked = {"eval", "classify", "encode", "decode", "pn"}
+        seen = set()
+        for line in block.splitlines():
+            command, _, comment = line.partition("#")
+            argv = command.split()[1:]  # drop the program name
+            if argv[0] in checked:
+                status, out = invoke(capsys, *argv)
+                assert status == 0 and out and comment.strip().endswith(out), (line, out)
+                seen.add(argv[0])
+        assert seen == checked
 
 
 class TestExitCodes:

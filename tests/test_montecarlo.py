@@ -22,13 +22,13 @@ class TestEstimate:
     def test_n1_never_zero(self):
         est = estimate(1, 50, 0, mode="full-eval")
         assert est.count_zero == 0
-        assert est.z_hat() == "0.000000"
+        assert est.csv_row().split(",")[6] == "0.000000"
 
     def test_types_only_has_no_zero_count(self):
         est = estimate(12, 100, 0, mode="types-only")
         assert est.count_zero is None
-        assert est.z_hat() == ""
         row = est.csv_row()
+        assert row.split(",")[6] == ""
         assert row.startswith("12,100,types-only,,")
 
     def test_invalid_mode(self):
@@ -128,8 +128,9 @@ class TestSweep:
         req = EstimateRequest(n_values=(10, 30), samples_per_n=20, master_seed=1, mode="types-only")
         rows = list(sweep(req))
         assert rows[0].error is None
-        assert rows[1].error is not None
-        assert "error:" in rows[1].csv_row()
+        assert rows[1].error == "n=30 exceeds partition-table cap 20"
+        (fields,) = csv.reader([rows[1].csv_row()])
+        assert fields[10] == "error:n=30 exceeds partition-table cap 20"
 
     def test_per_n_seeds_differ(self):
         req = EstimateRequest(n_values=(8, 9), samples_per_n=10, master_seed=5, mode="full-eval")
@@ -138,7 +139,7 @@ class TestSweep:
 
     def test_metadata_sidecar(self):
         req = EstimateRequest(n_values=(3,), samples_per_n=7, master_seed=2, mode="types-only")
-        meta = request_metadata(req, "0.1.0")
+        meta = request_metadata(req)
         assert '"samples_per_n": 7' in meta
         assert '"rng_name"' in meta
 
@@ -154,7 +155,7 @@ def test_difference_statistic_available():
 
 def test_exact_and_estimated_type1_density_agree_at_n30():
     table = build_p_table(30)
-    exact = count_type1(30) / table.counts[30] ** 2
+    exact = count_type1(30) / table[30] ** 2
     est = estimate(30, 20_000, 9, mode="types-only")
     se = (exact * (1 - exact) / est.samples) ** 0.5
     assert abs(est.count_type1 / est.samples - exact) <= 4 * se

@@ -33,19 +33,19 @@ def table_50000():
 
 class TestPartitionCountTable:
     def test_p0(self):
-        assert build_p_table(0).counts == (1,)
+        assert build_p_table(0) == (1,)
 
     def test_small_values(self):
         table = build_p_table(50)
-        assert table.counts[5] == 7
-        assert table.counts[50] == 204226
+        assert table[5] == 7
+        assert table[50] == 204226
 
     def test_p1000(self):
-        assert build_p_table(1000).counts[1000] == 24061467864032622473692149727991
+        assert build_p_table(1000)[1000] == 24061467864032622473692149727991
 
     def test_frozen_digest_n50000(self, table_50000):
         # recorded with the per-term k*(3k+-1)/2 recurrence
-        assert _sha256_lines(map(str, table_50000.counts)) == (
+        assert _sha256_lines(map(str, table_50000)) == (
             "272530b0ef33e0d9e7afc5dedaa04f2b902913fd33d1c8c7ef78e8cbf6ce356d"
         )
 
@@ -58,11 +58,11 @@ class TestPartitionCountTable:
     def test_matches_bounded_part_oracle(self):
         table = build_p_table(200)
         for m in range(201):
-            assert table.counts[m] == bounded_part_count(m, m if m else 1)
+            assert table[m] == bounded_part_count(m, m if m else 1)
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("SNZ_PTABLE_CAP", "100")
-        assert len(build_p_table(100).counts) == 101
+        assert len(build_p_table(100)) == 101
         with pytest.raises(ResourceLimit, match="n=101 exceeds partition-table cap 100"):
             build_p_table(101)
 
