@@ -79,14 +79,14 @@ class EstimateRequest:
 
 @dataclass
 class DensityEstimate:
-    """Per-n tallies; count_zero is None in types-only mode, never faked."""
+    """Per-n tallies; count_zero is None in types-only mode, all counts in an error row."""
 
     n: int
     samples: int
     mode: str
     count_zero: int | None
-    count_type1: int
-    count_type2: int
+    count_type1: int | None
+    count_type2: int | None
     master_seed: int
     rng_name: str = RNG_NAME
     elapsed_seconds: float = 0.0
@@ -190,7 +190,7 @@ def sweep(request: EstimateRequest) -> Iterator[DensityEstimate]:
             check_cap("partition-table", (n,))  # the table stops at this cap
             yield estimate(n, request.samples_per_n, seed_n, request.mode, request.workers, table)
         except ResourceLimit as exc:
-            yield DensityEstimate(n, request.samples_per_n, request.mode, None, 0, 0, seed_n,
+            yield DensityEstimate(n, request.samples_per_n, request.mode, None, None, None, seed_n,
                                   error=str(exc))
 
 

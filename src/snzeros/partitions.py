@@ -87,6 +87,14 @@ def decode(word: int) -> Partition:
     return Partition(tuple(reversed(parts_rev)))
 
 
+def conjugate(word: int) -> int:
+    """Boundary word of the transposed diagram: the walk reversed, each step turned.
+
+    Reversal keeps a canonical word canonical (first bit 1, last bit 0); conjugate(0) == 0.
+    """
+    return int(bin(word)[:1:-1], 2) ^ ((1 << word.bit_length()) - 1)
+
+
 def is_t_core(word: int, t: int) -> bool:
     """True iff no rim hook of size t can be removed (no hook divisible by t)."""
     return ((word >> t) & ~word) == 0

@@ -109,6 +109,16 @@ class TestFullTableScan:
         assert res.total_entries == len(list(partitions_of(n))) ** 2
         assert (res.zero_count, res.type1_count, res.type2_count) == counts
 
+    @pytest.mark.parametrize("n, values", [
+        (26, (5934096, 2323476, 1149780, 1227162)),
+        (30, (31404816, 11963861, 6010561, 6430956)),
+    ])
+    def test_frozen_counts_past_default_cap(self, monkeypatch, n, values):
+        # (p(n)^2, zero, type1, type2), recorded with the scan that built every row
+        monkeypatch.setenv("SNZ_SCAN_CAP", "30")
+        res = full_table_scan(n)
+        assert (res.total_entries, res.zero_count, res.type1_count, res.type2_count) == values
+
 
 def brute_core_count(n, t):
     return sum(1 for parts in partitions_of(n) if is_t_core(encode(Partition(parts)), t))
@@ -219,8 +229,9 @@ class TestCountType1:
             want = sum(q[t] * log_derivative_core_count(n, t, pcounts) for t in range(1, n + 1))
             assert count_type1(n) == want, n
 
-    def test_small_values_match_scan(self):
-        for n in range(3, 9):
+    def test_small_values_match_scan(self, monkeypatch):
+        monkeypatch.setenv("SNZ_SCAN_CAP", "22")
+        for n in range(3, 23):
             assert count_type1(n) == full_table_scan(n).type1_count, n
 
     def test_cap(self, monkeypatch):

@@ -66,13 +66,13 @@ class TestEstimate:
 
     def test_error_row_quotes_its_message(self):
         est = DensityEstimate(n=7, samples=10, mode="types-only", count_zero=None,
-                              count_type1=0, count_type2=0, master_seed=3,
+                              count_type1=None, count_type2=None, master_seed=3,
                               error='cap 5, see "SNZ_PTABLE_CAP"')
         (fields,) = csv.reader([est.csv_row()])
         assert len(fields) == len(CSV_HEADER.split(",")) == 12
         assert fields[10] == 'error:cap 5, see "SNZ_PTABLE_CAP"'
         plain = DensityEstimate(n=7, samples=10, mode="types-only", count_zero=None,
-                                count_type1=0, count_type2=0, master_seed=3, error="too big")
+                                count_type1=None, count_type2=None, master_seed=3, error="too big")
         assert plain.csv_row() == "7,10,types-only,,,,,,,3,error:too big,"
 
     def test_chain_in_full_eval(self):
@@ -129,8 +129,11 @@ class TestSweep:
         rows = list(sweep(req))
         assert rows[0].error is None
         assert rows[1].error == "n=30 exceeds partition-table cap 20"
+        assert (rows[1].count_zero, rows[1].count_type1, rows[1].count_type2) == (None, None, None)
         (fields,) = csv.reader([rows[1].csv_row()])
         assert fields[10] == "error:n=30 exceeds partition-table cap 20"
+        want = f"30,20,types-only,,,,,,,{rows[1].master_seed},error:{rows[1].error},"
+        assert rows[1].csv_row() == want
 
     def test_per_n_seeds_differ(self):
         req = EstimateRequest(n_values=(8, 9), samples_per_n=10, master_seed=5, mode="full-eval")

@@ -15,10 +15,16 @@ from snzeros import (
     is_t_core,
     partitions_of,
 )
-from snzeros.partitions import parse_code, remove_rim_hooks
+from snzeros.partitions import conjugate as conjugate_word, parse_code, remove_rim_hooks
 
 import checks
-from oracles import border_strip_removals, conjugate, dimension_hook_formula, hooks_arm_leg
+from oracles import (
+    border_strip_removals,
+    conjugate,
+    dimension_hook_formula,
+    hooks_arm_leg,
+    partitions_tuples,
+)
 
 
 parts_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(
@@ -125,6 +131,25 @@ class TestEncodeDecode:
 
     def test_round_trip_exhaustive(self):
         checks.check_round_trip(max_n=20)
+
+
+class TestConjugateWord:
+    def test_matches_transpose_oracle(self):
+        for n in range(16):
+            for parts in partitions_tuples(n):
+                word = encode(Partition(parts))
+                twin = conjugate_word(word)
+                assert decode(twin) == Partition(conjugate(parts)), parts
+                assert twin == encode(Partition(conjugate(parts))), parts  # canonical
+                assert conjugate_word(twin) == word, parts
+
+    @given(parts_lists)
+    def test_involution(self, parts):
+        word = encode(Partition(parts))
+        assert conjugate_word(conjugate_word(word)) == word
+
+    def test_empty(self):
+        assert conjugate_word(0) == 0
 
 
 class TestHooks:
