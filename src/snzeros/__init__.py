@@ -16,14 +16,7 @@ from .errors import (
     WeightMismatch,
 )
 from .mn import ZeroClass, character, classify
-from .partitions import (
-    Partition,
-    decode,
-    dimension,
-    encode,
-    is_t_core,
-    partitions_of,
-)
+from .partitions import Partition, decode, dimension, encode, is_t_core
 from .ptable import build_p_table
 from .sampler import RNG_NAME, SampleStream, random_partition
 
@@ -45,6 +38,5 @@ __all__ = [
     "dimension",
     "encode",
     "is_t_core",
-    "partitions_of",
     "random_partition",
 ]

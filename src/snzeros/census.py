@@ -1,14 +1,17 @@
 """Exact zero statistics: full-table scans and generating-function counts.
 
 Small n: build the p(n) x p(n) character table bottom-up and tally zeros by
-type.  The column of mu comes from the column of mu[1:] by removing every
-mu_1-rim hook of each row, with its sign; the columns (t,) + rest of one
-weight are built together, each row a signed sum of whole rows of weight
-|rest|.  Only columns with |mu| + mu_1 <= n are kept, and only one row per
-conjugate pair {lam, lam'}, the smaller boundary word: chi^lam'(mu) =
-sgn(mu) chi^lam(mu), so a dropped word reads its twin's row with the
-odd-sign columns negated, and at weight n each kept row's zeros count twice
-(once if lam = lam') and no row is stored.  Large n: the type-1
+type.  Row lam on column mu is the signed sum, over every mu_1-rim hook of
+lam, of the row left by its removal on column mu[1:].  The table is stored
+row-major by boundary word: rows[m][w] holds word w's values on the columns
+mu of weight m read again (|mu| + mu_1 <= n), in ascending lexicographic
+order of mu, the order in which the (weight, first part t) loop appends them.
+So the columns (t,) + rest read a prefix of every row of weight |rest|
+(rest_1 <= t), where one map(add/sub) over whole rows stops.  Only one row
+per conjugate pair {lam, lam'} is kept, the smaller boundary word:
+chi^lam'(mu) = sgn(mu) chi^lam(mu), so a dropped word reads its twin's prefix
+with the odd-sign columns negated, and at weight n each kept row's zeros
+count twice (once if lam = lam') and no row is stored.  Large n: the type-1
 zeros number sum_t q(n,t) * c_t(n), where q(n,t) counts column shapes with
 largest part t and c_t(n) counts row shapes with no hook divisible by t,
 read off P(x) E(x^t)^t (E = prod (1 - x^i)), each E^t being E^(t-1) * E.
@@ -20,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul, neg, or_, sub
+from operator import add, mul, or_, sub
 
 from .errors import SnZerosError
 from .mn import classify  # noqa: F401  module attribute the benchmark tracer patches
-from .partitions import Partition, conjugate, encode, is_t_core, partitions_of, remove_rim_hooks
+from .partitions import Partition, conjugate, encode, is_t_core, remove_rim_hooks
 from .ptable import build_p_table, check_cap, pentagonal_offsets
 
 
@@ -56,43 +59,40 @@ class ScanResult:
 def full_table_scan(n: int) -> ScanResult:
     """Tally zeros, type-1 and type-2 zeros over all (lam, mu) pairs of weight n."""
     check_cap("scan", (n,))
-    # sgn(mu) = (-1)^(|mu| - len(mu)); shapes[m] lists the even-sign shapes first
-    shapes = [sorted(partitions_of(m), key=lambda p: (m - len(p)) & 1) for m in range(n + 1)]
+    shapes = [[()]]  # shapes[m]: the partitions of m in ascending lexicographic order
+    for m in range(1, n + 1):
+        shapes.append([(t, *r) for t in range(1, m + 1) for r in shapes[m - t] if r[:1] <= (t,)])
     words = [[encode(Partition(p)) for p in row] for row in shapes]
-    kept = [[w for w in row if w <= conjugate(w)] for row in words]  # one row per pair {lam, lam'}
-    # index[m][w]: kept w's row in below; a dropped w's twin's row in the negated copy after it
-    index = [{**{conjugate(w): i + len(row) for i, w in enumerate(row)},
-              **{w: i for i, w in enumerate(row)}} for row in kept]
+    # rows[m][w]: kept word w's values on the read-again columns of weight m, one per {lam, lam'}
+    rows = [{w: [] for w in row if w <= conjugate(w)} for row in words]
+    rows[0][0].append(1)  # chi^() on the empty cycle type
+    twin = [{conjugate(w): w for w in row if w != conjugate(w)} for row in rows]  # dropped -> kept
+    pair_size = {w: 2 - (w == conjugate(w)) for w in rows[n]}  # a dropped twin has the same zeros
     # core[t] has bit i set iff row i of weight n has no hook divisible by t
     core = [0] + [sum(1 << i for i, w in enumerate(words[n]) if is_t_core(w, t))
                   for t in range(1, n + 1)]
-    pair_size = [2 - (w == conjugate(w)) for w in kept[n]]  # a dropped twin has the same zeros
-    columns: dict[tuple[int, ...], list[int]] = {(): [1]}
     zero = type1 = type2 = 0
     for m in range(1, n + 1):
         # below weight n, only columns with |mu| + mu_1 <= n are read again
         for t in range(1, min(m, n - m) + 1 if m < n else n + 1):
-            rests = [r for r in shapes[m - t] if r[:1] <= (t,)]  # the e even-sign ones first
-            e = sum((m - t - len(r)) & 1 == 0 for r in rests)
-            # below[j][k]: the value of kept row j of weight m - t on column (t,) + rests[k];
-            # lists, as tuple rows fragment the heap
-            below = list(map(list, zip(*[columns[rest] for rest in rests])))
-            # chi^lam'(mu) = sgn(mu) chi^lam(mu): a dropped word reads its twin's row negated
-            below += [[*row[:e], *map(neg, row[e:])] for row in below]
-            rows = []
-            for w in kept[m]:  # the signed sum of the rows of w's t-rim hook removals
-                row = [0] * len(rests)
+            rests = [r for r in shapes[m - t] if r[:1] <= (t,)]  # a prefix of every row of m - t
+            # chi^lam'(mu) = sgn(mu) chi^lam(mu), sgn(mu) = (-1)^(|mu| - len(mu)): a dropped
+            # word reads its twin's row with the odd-sign columns negated (even ones shared)
+            odd = [(m - t - len(r)) & 1 for r in rests]
+            below = {v: [-x if o else x for x, o in zip(rows[m - t][u], odd)]
+                     for v, u in twin[m - t].items()}
+            below.update(rows[m - t])
+            for w, row in rows[m].items():  # the signed sum of the rows of w's t-rim hook removals
+                new = [0] * len(rests)
                 for v, s in remove_rim_hooks({w: 1}, t).items():
-                    row = map(add if s > 0 else sub, row, below[index[m - t][v]])
-                row = list(row)
-                rows.append(row if m < n else row.count(0))  # weight n: keep zero counts only
-            if m < n:
-                for rest, col in zip(rests, zip(*rows)):
-                    columns[(t,) + rest] = list(col)  # lists: a tuple store peaks higher
-                continue
-            zero += sum(map(mul, rows, pair_size))
-            type1 += core[t].bit_count() * len(rests)
-            type2 += sum(reduce(or_, [core[p] for p in {t, *rest}]).bit_count() for rest in rests)
+                    new = map(add if s > 0 else sub, new, below[v])  # stops at len(rests)
+                if m < n:
+                    row += new  # the columns (t,) + rests follow those of smaller first part
+                else:
+                    zero += list(new).count(0) * pair_size[w]  # weight n: keep zero counts only
+            if m == n:
+                type1 += core[t].bit_count() * len(rests)
+                type2 += sum(reduce(or_, [core[p] for p in {t, *rest}]).bit_count() for rest in rests)
     return ScanResult(n, len(words[n]) ** 2, zero, type1, type2)
 
 

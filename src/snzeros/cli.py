@@ -76,6 +76,13 @@ def _auto_workers(value: str) -> int:
     return int(value)
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise SnZerosError(f"cannot write --out: {exc}") from exc
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="snzeros", description=__doc__)
     parser.add_argument("--version", action="version", version=f"snzeros {__version__}")
@@ -175,11 +182,10 @@ def run(argv: list[str]) -> int:
             mode=args.mode,
             workers=args.threads,
         )
-        if args.out:
-            with open(args.out, "w") as fh:
+        if args.out:  # both files are opened before any sampling
+            with _open_out(args.out) as fh, _open_out(args.out + ".meta.json") as meta:
                 write_csv(sweep(request), fh)
-            with open(args.out + ".meta.json", "w") as fh:
-                fh.write(request_metadata(request) + "\n")
+                meta.write(request_metadata(request) + "\n")
         else:
             write_csv(sweep(request), sys.stdout)
 
@@ -193,7 +199,7 @@ def run(argv: list[str]) -> int:
             print(format_row(n, res.total_entries, "exact", counts, (None, None, None)), flush=True)
             if args.ratio:  # tables with n <= 2 have no zeros
                 ratio = res.type1_over_zero() if res.zero_count else "undefined"
-                print(f"type1/zero = {ratio}", file=sys.stderr)
+                print(f"n={n} type1/zero = {ratio}", file=sys.stderr)
 
     elif args.command == "count-type1":
         check_cap("type-1 count", args.n)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
-from typing import Iterator
 
 from .errors import NonPositivePart, NotWeaklyDecreasing, SnZerosError
 
@@ -158,14 +157,3 @@ def dimension(word: int) -> int:
         pos += 1
     return factorial(n) // prod
 
-
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield all partitions of n as weakly decreasing tuples (largest part first)."""
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest

@@ -19,19 +19,18 @@ from snzeros import (
     dimension,
     encode,
     is_t_core,
-    partitions_of,
     random_partition,
     SampleStream,
 )
 from snzeros.montecarlo import estimate
 from snzeros.partitions import remove_rim_hooks
 
-from oracles import border_strip_removals, hooks_arm_leg, naive_character
+from oracles import border_strip_removals, hooks_arm_leg, naive_character, partitions_tuples
 
 
 def check_round_trip(max_n: int = 20) -> None:
     for n in range(max_n + 1):
-        for parts in partitions_of(n):
+        for parts in partitions_tuples(n):
             lam = Partition(parts)
             assert decode(encode(lam)) == lam, f"round trip failed for {parts}"
 
@@ -51,7 +50,7 @@ def bitpair_gaps(word: int) -> list[int]:
 def check_hook_bitpair_identity(max_n: int = 15) -> None:
     """Hook multiset equals the gaps over (1-bit, later 0-bit) pairs."""
     for n in range(max_n + 1):
-        for parts in partitions_of(n):
+        for parts in partitions_tuples(n):
             gaps = bitpair_gaps(encode(Partition(parts)))
             assert gaps == hooks_arm_leg(parts), f"hook identity failed for {parts}"
 
@@ -63,7 +62,7 @@ def check_core_equivalence(max_n: int = 15, oracle_max_n: int = 12) -> None:
     cell-set oracle, with sign (-1)^height.
     """
     for n in range(max_n + 1):
-        for parts in partitions_of(n):
+        for parts in partitions_tuples(n):
             word = encode(Partition(parts))
             hooks = hooks_arm_leg(parts)
             for t in range(1, n + 2):
@@ -83,7 +82,7 @@ def check_core_equivalence(max_n: int = 15, oracle_max_n: int = 12) -> None:
 def check_dimension_base_case(max_n: int = 12) -> None:
     for n in range(max_n + 1):
         ones = Partition((1,) * n)
-        for parts in partitions_of(n):
+        for parts in partitions_tuples(n):
             lam = Partition(parts)
             assert character(lam, ones) == dimension(encode(lam)), f"base case failed for {parts}"
 
@@ -93,8 +92,8 @@ def check_column_orthogonality(max_n: int = 12) -> None:
     from oracles import centralizer_size
 
     for n in range(1, max_n + 1):
-        rows = [Partition(t) for t in partitions_of(n)]
-        for mu_parts in partitions_of(n):
+        rows = [Partition(t) for t in partitions_tuples(n)]
+        for mu_parts in partitions_tuples(n):
             mu = Partition(mu_parts)
             total = sum(character(lam, mu) ** 2 for lam in rows)
             assert total == centralizer_size(mu_parts), f"orthogonality failed for mu={mu_parts}"
@@ -102,7 +101,7 @@ def check_column_orthogonality(max_n: int = 12) -> None:
 
 def check_naive_mn_agreement(max_n: int = 9) -> None:
     for n in range(max_n + 1):
-        all_parts = list(partitions_of(n))
+        all_parts = list(partitions_tuples(n))
         for lp in all_parts:
             lam = Partition(lp)
             for mp in all_parts:
@@ -114,7 +113,7 @@ def check_naive_mn_agreement(max_n: int = 9) -> None:
 def check_type_soundness(max_n: int = 12) -> None:
     """Whenever a core test fires, the exact value really is 0."""
     for n in range(1, max_n + 1):
-        all_parts = list(partitions_of(n))
+        all_parts = list(partitions_tuples(n))
         for lp in all_parts:
             lam = Partition(lp)
             for mp in all_parts:
@@ -140,7 +139,7 @@ def check_sampler_chi_square(
             tallies[random_partition(n, SampleStream(master_seed + n, i), table).parts] += 1
         p_n = table[n]
         expected = samples / p_n
-        stat = sum((tallies[parts] - expected) ** 2 / expected for parts in partitions_of(n))
+        stat = sum((tallies[parts] - expected) ** 2 / expected for parts in partitions_tuples(n))
         critical = chi2.ppf(1 - significance, df=p_n - 1)
         assert stat < critical, f"chi-square {stat:.1f} >= {critical:.1f} at n={n}"
         results.append((n, stat, critical))

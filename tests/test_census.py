@@ -8,7 +8,6 @@ from snzeros import (
     classify,
     encode,
     is_t_core,
-    partitions_of,
 )
 from snzeros.census import (
     count_max_part,
@@ -89,7 +88,7 @@ class TestFullTableScan:
 
     def test_matches_classify_tally(self):
         for n in range(1, 13):
-            shapes = [Partition(p) for p in partitions_of(n)]
+            shapes = [Partition(p) for p in partitions_tuples(n)]
             tally = [0, 0, 0]
             for mu in shapes:
                 for lam in shapes:
@@ -106,7 +105,7 @@ class TestFullTableScan:
     ])
     def test_frozen_counts(self, n, counts):
         res = full_table_scan(n)
-        assert res.total_entries == len(list(partitions_of(n))) ** 2
+        assert res.total_entries == len(list(partitions_tuples(n))) ** 2
         assert (res.zero_count, res.type1_count, res.type2_count) == counts
 
     @pytest.mark.parametrize("n, values", [
@@ -118,10 +117,11 @@ class TestFullTableScan:
         monkeypatch.setenv("SNZ_SCAN_CAP", "30")
         res = full_table_scan(n)
         assert (res.total_entries, res.zero_count, res.type1_count, res.type2_count) == values
+        assert count_type1(n) == res.type1_count
 
 
 def brute_core_count(n, t):
-    return sum(1 for parts in partitions_of(n) if is_t_core(encode(Partition(parts)), t))
+    return sum(1 for parts in partitions_tuples(n) if is_t_core(encode(Partition(parts)), t))
 
 
 def max_part_counts(n):
@@ -200,7 +200,7 @@ class TestMaxPartCounts:
         for n in range(1, 13):
             q = max_part_counts(n)
             for t in range(1, n + 1):
-                want = sum(1 for parts in partitions_of(n) if parts[0] == t)
+                want = sum(1 for parts in partitions_tuples(n) if parts[0] == t)
                 assert q[t] == want, (n, t)
 
 

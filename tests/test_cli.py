@@ -194,6 +194,8 @@ class TestExitCodes:
         ["decode", "--code", ""],
         ["scan", "--n", "3,-1"],  # a negative n anywhere fails before the first row
         ["count-type1", "--n", "4,-1"],
+        ["sweep", "--n", "5", "--samples", "3", "--mode", "types-only", "--out", "/nonexistent/x.csv"],
+        ["sweep", "--n", "5", "--samples", "3", "--mode", "types-only", "--out", "/"],
     ])
     def test_invalid_census_input_is_one_line_error(self, argv):
         proc = subprocess.run(
@@ -271,7 +273,7 @@ class TestExitCodes:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
-        assert proc.stderr == "type1/zero = undefined\n"
+        assert proc.stderr == "n=2 type1/zero = undefined\n"
 
     def test_help_exits_0(self):
         for sub in ["eval", "sweep", "scan", "sample"]:

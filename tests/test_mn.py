@@ -10,15 +10,14 @@ from snzeros import (
     classify,
     dimension,
     encode,
-    partitions_of,
 )
 
 import checks
-from oracles import naive_character
+from oracles import naive_character, partitions_tuples
 
 
 def all_partitions(n):
-    return [Partition(t) for t in partitions_of(n)]
+    return [Partition(t) for t in partitions_tuples(n)]
 
 
 class TestCharacter:
@@ -59,7 +58,7 @@ class TestCharacter:
         # mu = 2^k 1^(n-2k): a long run of equal small parts, where the bag of
         # shapes grows largest (the slowest benchmark pairs are of this kind)
         rnd = random.Random(n)
-        shapes = list(partitions_of(n))
+        shapes = list(partitions_tuples(n))
         for k in (n // 3, n // 2 - 1, n // 2):
             mu = (2,) * k + (1,) * (n - 2 * k)
             for lam in rnd.sample(shapes, 3):

@@ -12,14 +12,13 @@ from snzeros import (
     SampleStream,
     SnZerosError,
     build_p_table,
-    partitions_of,
     random_partition,
 )
 from snzeros.census import count_type1, full_table_scan
 from snzeros.ptable import CAPS, pentagonal_offsets
 from snzeros.sampler import derive_seed, stream_rng, uniform_below
 
-from oracles import bounded_part_count
+from oracles import bounded_part_count, partitions_tuples
 
 
 def _sha256_lines(lines) -> str:
@@ -179,5 +178,5 @@ class TestRandomPartition:
             tallies[random_partition(n, SampleStream(777, i), table).parts] += 1
         p = 1 / 7
         se = (samples * p * (1 - p)) ** 0.5
-        for parts in partitions_of(n):
+        for parts in partitions_tuples(n):
             assert abs(tallies[parts] - samples * p) < 4 * se, parts
