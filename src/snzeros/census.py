@@ -2,32 +2,33 @@
 
 Small n: build the p(n) x p(n) character table bottom-up and tally zeros by
 type.  Row lam on column mu is the signed sum, over every mu_1-rim hook of
-lam, of the row left by its removal on column mu[1:].  The table is stored
-row-major by boundary word: rows[m][w] holds word w's values on the columns
-mu of weight m read again (|mu| + mu_1 <= n), in ascending lexicographic
-order of mu, the order in which the (weight, first part t) loop appends them.
-So the columns (t,) + rest read a prefix of every row of weight |rest|
-(rest_1 <= t), where one map(add/sub) over whole rows stops.  Only one row
-per conjugate pair {lam, lam'} is kept, the smaller boundary word:
+lam, of the row left by its removal on column mu[1:].  One recursion lists
+the shapes of each weight in ascending lexicographic order with their
+boundary words.  rows[m][w] holds word w's values on the columns mu of
+weight m read again (|mu| + mu_1 <= n), in the order in which the (weight,
+first part t) loop appends them, so the columns (t,) + rest read a prefix of
+every row of weight |rest| and one map(add/sub) over whole rows stops there.
+One row per conjugate pair {lam, lam'} is kept, the smaller word:
 chi^lam'(mu) = sgn(mu) chi^lam(mu), so a dropped word reads its twin's prefix
 with the odd-sign columns negated, and at weight n each kept row's zeros
 count twice (once if lam = lam') and no row is stored.  Large n: the type-1
-zeros number sum_t q(n,t) * c_t(n), where q(n,t) counts column shapes with
-largest part t and c_t(n) counts row shapes with no hook divisible by t,
-read off P(x) E(x^t)^t (E = prod (1 - x^i)), each E^t being E^(t-1) * E.
-Scans obey the scan cap; type-1 counts obey the type-1 cap and, for their
-p-table, the partition-table cap (ptable.check_cap).
+zeros number sum_t q(n,t) * c_t(n).  q(n,t) counts column shapes with largest
+part t, by running sums along residue classes (Euler's identity); c_t(n)
+counts row shapes with no hook divisible by t, read off P(x) E(x^t)^t
+(E = prod (1 - x^i)), each E^t being E^(t-1) * E.  Scans obey the scan cap,
+type-1 counts the type-1 and partition-table caps (ptable.check_cap).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from operator import add, mul, or_, sub
 
 from .errors import SnZerosError
 from .mn import classify  # noqa: F401  module attribute the benchmark tracer patches
-from .partitions import Partition, conjugate, encode, is_t_core, remove_rim_hooks
+from .partitions import conjugate, is_t_core, remove_rim_hooks
 from .ptable import build_p_table, check_cap, pentagonal_offsets
 
 
@@ -59,15 +60,16 @@ class ScanResult:
 def full_table_scan(n: int) -> ScanResult:
     """Tally zeros, type-1 and type-2 zeros over all (lam, mu) pairs of weight n."""
     check_cap("scan", (n,))
-    shapes = [[()]]  # shapes[m]: the partitions of m in ascending lexicographic order
-    for m in range(1, n + 1):
+    shapes, words = [[()]], [[0]]  # the partitions of m in ascending lexicographic order; words
+    for m in range(1, n + 1):  # (t, *r), r_1 <= t: r's word w, then t - r_1 1-bits and a 0-bit
         shapes.append([(t, *r) for t in range(1, m + 1) for r in shapes[m - t] if r[:1] <= (t,)])
-    words = [[encode(Partition(p)) for p in row] for row in shapes]
-    # rows[m][w]: kept word w's values on the read-again columns of weight m, one per {lam, lam'}
-    rows = [{w: [] for w in row if w <= conjugate(w)} for row in words]
+        words.append([((w + 1) << (t + 1 - w.bit_count())) - 2  # r_1 = popcount(w)
+                      for t in range(1, m + 1) for w in words[m - t] if w.bit_count() <= t])
+    # twin[m]: dropped word -> kept word; rows[m][w]: kept word w's read-again values
+    twin = [{c: w for w, c in zip(row, map(conjugate, row)) if w < c} for row in words]
+    rows = [{w: [] for w in row if w not in tw} for row, tw in zip(words, twin)]
     rows[0][0].append(1)  # chi^() on the empty cycle type
-    twin = [{conjugate(w): w for w in row if w != conjugate(w)} for row in rows]  # dropped -> kept
-    pair_size = {w: 2 - (w == conjugate(w)) for w in rows[n]}  # a dropped twin has the same zeros
+    pair_size = dict.fromkeys(rows[n], 1) | dict.fromkeys(twin[n].values(), 2)  # a twin's zeros
     # core[t] has bit i set iff row i of weight n has no hook divisible by t
     core = [0] + [sum(1 << i for i, w in enumerate(words[n]) if is_t_core(w, t))
                   for t in range(1, n + 1)]
@@ -128,14 +130,14 @@ def count_max_part(n: int, pcounts: tuple[int, ...]) -> list[int]:
 
     Euler's prod_{i>t} (1 - x^i) = sum_r (-1)^r x^(rt + r(r+1)/2) / prod_{i<=r} (1 - x^i)
     gives q(n,t) = sum_r (-1)^r F_r[n - t - rt - r(r+1)/2] with F_r = P / prod_{i<=r} (1 - x^i),
-    r < sqrt(2n) and P = pcounts, which must cover p(0..n - 1).
+    r < sqrt(2n), P = pcounts covering p(0..n - 1); F_r is F_(r-1) summed along each class mod r.
     """
     f = list(pcounts[:n])  # F_0 = P
     q = [0, *reversed(f)]  # the r = 0 term, p(n - t)
     r = 1
     while (top := n - 1 - r - r * (r + 1) // 2) >= 0:  # F_r is read up to top only
-        for lo in range(r, top + 1, r):  # each block of r reads only the block below
-            f[lo:lo + r] = map(add, f[lo:lo + r], f[lo - r:lo])
+        for res in range(min(r, top + 1)):  # F_r = F_(r-1) / (1 - x^r), one class at a time
+            f[res:top + 1:r] = accumulate(f[res:top + 1:r])
         terms = f[top::-(r + 1)]  # F_r at top, top - (r + 1), ... for t = 1, 2, ...
         q[1:len(terms) + 1] = map(sub if r & 1 else add, q[1:len(terms) + 1], terms)
         r += 1

@@ -154,13 +154,11 @@ def estimate(
         zero, type1, type2 = _tally_block(table, n, master_seed, 0, samples, full_eval)
     else:
         block = -(-samples // workers)
-        jobs = [
-            (n, master_seed, start, min(block, samples - start), full_eval)
-            for start in range(0, samples, block)
-        ]
-        # fork hands the table to the workers without pickling or rebuilding it
+        jobs = [(n, master_seed, start, min(block, samples - start), full_eval)
+                for start in range(0, samples, block)]
+        # fork hands the table to the workers without pickling or rebuilding it; one process per job
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_pool_init, initargs=(table,)) as pool:
+        with ctx.Pool(len(jobs), initializer=_pool_init, initargs=(table,)) as pool:
             parts = pool.map(_pool_tally, jobs)
         zero, type1, type2 = map(sum, zip(*parts))
     elapsed = time.monotonic() - t0

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from snzeros import (
@@ -202,6 +204,18 @@ class TestMaxPartCounts:
             for t in range(1, n + 1):
                 want = sum(1 for parts in partitions_tuples(n) if parts[0] == t)
                 assert q[t] == want, (n, t)
+
+
+def test_exact_counts_at_20000_match_recorded_digests():
+    # SHA-256 of the decimal strings, recorded with the block-by-block count_max_part; past the
+    # oracles' range, so every residue class of every r is checked on 20000 bigints
+    def digest(x):
+        return hashlib.sha256(str(x).encode()).hexdigest()
+
+    assert digest(count_max_part(20000, build_p_table(20000))) == (
+        "863e6dfb1e5782915d9730434eb481f33d38742c1ab345943a4d67b3d3c50998")
+    assert digest(count_type1(20000)) == (
+        "604cfeddcf4f67197fe2a6398bc462d35c816227a2eb25cb9f3b5d67ab16edd2")
 
 
 class TestCountType1:

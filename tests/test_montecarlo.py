@@ -1,10 +1,12 @@
 import csv
 import io
+import multiprocessing
 
 import pytest
 
 from snzeros import InvalidMode, SnZerosError, build_p_table
 from snzeros.census import count_type1, full_table_scan, ratio_decimal
+from snzeros import montecarlo
 from snzeros.montecarlo import (
     CSV_HEADER,
     DensityEstimate,
@@ -90,6 +92,31 @@ class TestEstimate:
 
     def test_worker_count_invariance(self):
         checks.check_worker_invariance(n=20, samples=300)
+
+    @pytest.mark.parametrize("samples, workers, processes", [(3, 64, 3), (40, 2, 2), (5, 4, 3)])
+    def test_pool_starts_one_process_per_block(self, monkeypatch, samples, workers, processes):
+        started = []
+
+        class InProcessPool:  # records the process count and runs the blocks here, forking none
+            def __init__(self, count, initializer, initargs):
+                started.append(count)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, jobs):
+                return list(map(func, jobs))
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
+        monkeypatch.setattr(montecarlo, "_POOL_TABLE", None)
+        est = estimate(12, samples, 9, mode="types-only", workers=workers)
+        serial = estimate(12, samples, 9, mode="types-only")
+        assert started == [processes]
+        assert (est.count_type1, est.count_type2) == (serial.count_type1, serial.count_type2)
 
     def test_converges_to_exact_density(self):
         n, samples = 6, 20_000
