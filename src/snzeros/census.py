@@ -60,7 +60,7 @@ class ScanResult:
 def full_table_scan(n: int) -> ScanResult:
     """Tally zeros, type-1 and type-2 zeros over all (lam, mu) pairs of weight n."""
     check_cap("scan", (n,))
-    shapes, words = [[()]], [[0]]  # the partitions of m in ascending lexicographic order; words
+    shapes, words = [[()]], [[0]]  # the partitions of m, ascending lexicographic, and their words
     for m in range(1, n + 1):  # (t, *r), r_1 <= t: r's word w, then t - r_1 1-bits and a 0-bit
         shapes.append([(t, *r) for t in range(1, m + 1) for r in shapes[m - t] if r[:1] <= (t,)])
         words.append([((w + 1) << (t + 1 - w.bit_count())) - 2  # r_1 = popcount(w)
@@ -69,7 +69,7 @@ def full_table_scan(n: int) -> ScanResult:
     twin = [{c: w for w, c in zip(row, map(conjugate, row)) if w < c} for row in words]
     rows = [{w: [] for w in row if w not in tw} for row, tw in zip(words, twin)]
     rows[0][0].append(1)  # chi^() on the empty cycle type
-    pair_size = dict.fromkeys(rows[n], 1) | dict.fromkeys(twin[n].values(), 2)  # a twin's zeros
+    pair_size = dict.fromkeys(rows[n], 1) | dict.fromkeys(twin[n].values(), 2)  # twin: same zeros
     # core[t] has bit i set iff row i of weight n has no hook divisible by t
     core = [0] + [sum(1 << i for i, w in enumerate(words[n]) if is_t_core(w, t))
                   for t in range(1, n + 1)]

@@ -4,9 +4,8 @@ import multiprocessing
 
 import pytest
 
-from snzeros import InvalidMode, SnZerosError, build_p_table
+from snzeros import InvalidMode, SnZerosError, build_p_table, montecarlo
 from snzeros.census import count_type1, full_table_scan, ratio_decimal
-from snzeros import montecarlo
 from snzeros.montecarlo import (
     CSV_HEADER,
     DensityEstimate,
