@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
+from math import comb
 from operator import add, mul, or_, sub
 
 from .errors import SnZerosError
@@ -112,16 +113,19 @@ def times_e(g: list[int], deg: int, odd: list[int], even: list[int]) -> list[int
 def count_t_cores(n: int, t: int) -> int:
     """c_t(n), partitions of n with no hook divisible by t: sum_j E^t_j * p(n - t*j).
 
-    E^t up to degree n // t is t steps of times_e; p(0..n) is built under the table cap.
+    E^t up to degree D = n // t takes t times_e steps, or D if 4D < t; p(0..n) obeys the table cap.
     """
     if n < 0 or t < 1:
         raise SnZerosError(f"c_t(n) needs n >= 0 and t >= 1, got n={n}, t={t}")
     pcounts = build_p_table(n)
     deg = n // t
     odd, even = pentagonal_offsets(deg)
-    g = [1] + [0] * deg
-    for _ in range(t if deg else 0):  # at degree 0, every power of E is 1
+    g = h = [1] + [0] * deg
+    for _ in range(0 if 4 * deg < t else t):  # E^t = E^(t-1) * E
         g = times_e(g, deg, odd, even)
+    for k in range(1, deg + 1 if 4 * deg < t else 1):  # or E^t = sum_{k <= D} C(t, k) (E - 1)^k
+        h = list(map(sub, times_e(h, deg, odd, even), h))  # (E - 1)^k, from x^k; <= 4x a plain step
+        g = [a + comb(t, k) * b for a, b in zip(g, h)]
     return sum(map(mul, g, pcounts[n::-t]))
 
 

@@ -4,10 +4,9 @@ The character value on a given cycle type is expanded by repeatedly removing
 rim hooks whose sizes are the cycle lengths, largest first.  The expansion
 front is a dictionary mapping canonical boundary words (plain ints, see
 partitions) to exact integer coefficients, so shapes reached along many
-removal paths are merged.  Each step consumes the old front while it builds
-the new one, so memory peaks at about one front plus the old hash table.
-Once only fixed points (cycle length 1) remain, each surviving word is
-finished with the hook-length formula.
+removal paths are merged.  A step frees the old words slice by slice, so
+memory peaks near one front plus one old slice.  Once only fixed points
+(cycle length 1) remain, each surviving word gets the hook-length formula.
 """
 
 from __future__ import annotations

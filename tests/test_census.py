@@ -165,7 +165,7 @@ class TestCoreCounts:
             for t in range(1, n + 3):  # t > n counts every partition of n
                 assert count_t_cores(n, t) == log_derivative_core_count(n, t, pcounts), (n, t)
 
-    @pytest.mark.parametrize("t", [2, 3, 7, 50, 1000, 3000])
+    @pytest.mark.parametrize("t", [2, 3, 7, 50, 1000, 1501, 2999, 3000])
     def test_matches_log_derivative_oracle_at_3000(self, t):
         pcounts = build_p_table(3000)
         assert count_t_cores(3000, t) == log_derivative_core_count(3000, t, pcounts)

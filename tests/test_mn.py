@@ -64,6 +64,13 @@ class TestCharacter:
             for lam in rnd.sample(shapes, 3):
                 assert character(Partition(lam), Partition(mu)) == naive_character(lam, mu)
 
+    def test_pinned_value_whose_bag_spans_slices(self):
+        # the full-eval benchmark's n=120 pair of sample 64 (seed 0): its bag peaks
+        # at 71,241 words, so the rim-hook kernel walks it in more than one slice
+        lam = Partition((28, 12, 12, 7, 6, 6, 6, 5, 5, 3, 3) + (2,) * 13 + (1,))
+        mu = Partition((19, 13, 7, 5, 5, 5, 5) + (2,) * 23 + (1,) * 15)
+        assert character(lam, mu) == -198810164448356964926
+
     @given(st.integers(2, 11), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_dimension(self, n, rnd):

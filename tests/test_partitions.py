@@ -14,7 +14,8 @@ from snzeros import (
     encode,
     is_t_core,
 )
-from snzeros.partitions import conjugate as conjugate_word, parse_code, remove_rim_hooks
+from snzeros.partitions import BAG_SLICE, conjugate as conjugate_word, parse_code, remove_rim_hooks
+from snzeros.ptable import build_p_table
 
 import checks
 from oracles import (
@@ -210,6 +211,23 @@ class TestRimHookKernel:
             for kappa, height in border_strip_removals(parts, t):
                 want[encode(Partition(kappa))] += c * (-1) ** height
         bag = {encode(Partition(parts)): c for parts, c in shapes.items()}
+        assert remove_rim_hooks(bag, t) == {w: c for w, c in want.items() if c}
+        assert bag == {}
+
+    @pytest.fixture(scope="class")
+    def sliced_bag(self):
+        # every shape of the least weight with more than two slices of them, each
+        # with its own signed coefficient
+        weight = next(m for m, p in enumerate(build_p_table(80)) if p > 2 * BAG_SLICE)
+        return {encode(Partition(parts)): (-1) ** i * (i + 1)
+                for i, parts in enumerate(partitions_tuples(weight))}
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_sliced_bag_is_merge_of_one_word_bags(self, sliced_bag, t):
+        bag = dict(sliced_bag)
+        want = Counter()  # one-word bags take the in-place walk
+        for w, c in bag.items():
+            want.update(remove_rim_hooks({w: c}, t))
         assert remove_rim_hooks(bag, t) == {w: c for w, c in want.items() if c}
         assert bag == {}
 
