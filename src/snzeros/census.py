@@ -15,17 +15,17 @@ count twice (once if lam = lam') and no row is stored.  Large n: the type-1
 zeros number sum_t q(n,t) * c_t(n).  q(n,t) counts column shapes with largest
 part t, by running sums along residue classes (Euler's identity); c_t(n)
 counts row shapes with no hook divisible by t, read off P(x) E(x^t)^t
-(E = prod (1 - x^i)), each E^t being E^(t-1) * E.  Scans obey the scan cap,
-type-1 counts the type-1 and partition-table caps (ptable.check_cap).
+(E = prod (1 - x^i)) by core_counts alone, E^t = E^(t-1) * E.  Scans obey
+the scan cap, type-1 counts the type-1 and partition-table caps (check_cap).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
-from math import comb
+from itertools import accumulate, count
 from operator import add, mul, or_, sub
+from typing import Iterator
 
 from .errors import SnZerosError
 from .mn import classify  # noqa: F401  module attribute the benchmark tracer patches
@@ -110,23 +110,29 @@ def times_e(g: list[int], deg: int, odd: list[int], even: list[int]) -> list[int
     return h
 
 
-def count_t_cores(n: int, t: int) -> int:
-    """c_t(n), partitions of n with no hook divisible by t: sum_j E^t_j * p(n - t*j).
+def core_counts(n: int, pcounts: tuple[int, ...], first: int) -> Iterator[int]:
+    """c_t(n) for t = first, first + 1, ...: sum_j E^t_j * p(n - t*j), pcounts covering p(0..n).
 
-    E^t up to degree D = n // t takes t times_e steps, or D if 4D < t; p(0..n) obeys the table cap.
+    E^1..E^(first-1) are stepped at degree n // first, then E^t = E^(t-1) * E at degree n // t.
+    """
+    deg = n // first
+    odd, even = pentagonal_offsets(deg)
+    g = [1] + [0] * deg
+    for _ in range(first - 1):
+        g = times_e(g, deg, odd, even)
+    for t in count(first):
+        g = times_e(g, n // t, odd, even)
+        yield sum(map(mul, g, pcounts[n::-t]))
+
+
+def count_t_cores(n: int, t: int) -> int:
+    """c_t(n), partitions of n with no hook divisible by t; p(0..n) obeys the table cap.
+
+    Every partition of n is a t-core once t > n, so t is clamped to n + 1: at most n + 1 steps.
     """
     if n < 0 or t < 1:
         raise SnZerosError(f"c_t(n) needs n >= 0 and t >= 1, got n={n}, t={t}")
-    pcounts = build_p_table(n)
-    deg = n // t
-    odd, even = pentagonal_offsets(deg)
-    g = h = [1] + [0] * deg
-    for _ in range(0 if 4 * deg < t else t):  # E^t = E^(t-1) * E
-        g = times_e(g, deg, odd, even)
-    for k in range(1, deg + 1 if 4 * deg < t else 1):  # or E^t = sum_{k <= D} C(t, k) (E - 1)^k
-        h = list(map(sub, times_e(h, deg, odd, even), h))  # (E - 1)^k, from x^k; <= 4x a plain step
-        g = [a + comb(t, k) * b for a, b in zip(g, h)]
-    return sum(map(mul, g, pcounts[n::-t]))
+    return next(core_counts(n, build_p_table(n), min(t, n + 1)))
 
 
 def count_max_part(n: int, pcounts: tuple[int, ...]) -> list[int]:
@@ -152,12 +158,5 @@ def count_type1(n: int) -> int:
     """Exact number of type-1 zeros of the weight-n table; n obeys the type-1 and table caps."""
     check_cap("type-1 count", (n,))
     pcounts = build_p_table(n)
-    q = count_max_part(n, pcounts)
-    odd, even = pentagonal_offsets(n // 2)
-    # t = 1 adds nothing (c_1(n) = 0 for n >= 1), so E is only stepped from
-    g = times_e([1] + [0] * (n // 2), n // 2, odd, even)
-    total = 0
-    for t in range(2, n + 1):
-        g = times_e(g, n // t, odd, even)  # E^t up to degree n // t
-        total += q[t] * sum(map(mul, g, pcounts[n::-t]))
-    return total
+    # sum_t q(n,t) c_t(n) from t = 2: c_1(n) = 0 for n >= 1
+    return sum(map(mul, count_max_part(n, pcounts)[2:], core_counts(n, pcounts, 2)))

@@ -2,7 +2,7 @@
 
 Every operation is exposed as a subcommand with script-friendly output:
 plain values or CSV on stdout, diagnostics on stderr.  Exit status 0 on
-success, 1 on usage errors, 2 when a configured resource cap is hit.
+success, 1 on usage errors or a closed stdout, 2 at a configured resource cap.
 
 Partition arguments are comma-separated weakly decreasing parts
 (e.g. 6,5,3,2,1,1); sweep ranges use a:b[:step] or comma lists.
@@ -224,13 +224,18 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     try:
-        raise SystemExit(run(sys.argv[1:]))
+        status = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter shutdown
     except ResourceLimit as exc:
         print(f"snzeros: resource limit: {exc}", file=sys.stderr)
         raise SystemExit(2)
     except SnZerosError as exc:
         print(f"snzeros: error: {exc}", file=sys.stderr)
         raise SystemExit(1)
+    except BrokenPipeError:  # the reader closed stdout: point it at devnull so exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

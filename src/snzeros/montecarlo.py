@@ -75,6 +75,7 @@ class EstimateRequest:
         for n in self.n_values:  # n is hashed into the per-n seed
             check_u64("n", n)
         check_u64("master seed", self.master_seed)
+        check_u64("last stream index", 2 * self.samples_per_n - 1)  # sample i reads 2i and 2i + 1
 
 
 @dataclass

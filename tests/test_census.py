@@ -1,4 +1,5 @@
 import hashlib
+from itertools import islice
 
 import pytest
 
@@ -12,6 +13,7 @@ from snzeros import (
     is_t_core,
 )
 from snzeros.census import (
+    core_counts,
     count_max_part,
     count_t_cores,
     count_type1,
@@ -139,7 +141,8 @@ class TestCoreCounts:
     def test_t_larger_than_n_counts_everything(self):
         table = build_p_table(12)
         for n in range(13):
-            assert count_t_cores(n, n + 1) == table[n]
+            for t in (n + 1, 2**64):  # t is clamped to n + 1, so 2^64 takes n + 1 steps
+                assert count_t_cores(n, t) == table[n]
 
     def test_two_cores_are_staircases(self):
         triangular = {k * (k + 1) // 2 for k in range(10)}
@@ -164,6 +167,13 @@ class TestCoreCounts:
         for n in range(120):
             for t in range(1, n + 3):  # t > n counts every partition of n
                 assert count_t_cores(n, t) == log_derivative_core_count(n, t, pcounts), (n, t)
+
+    @pytest.mark.parametrize("first", [2, 17])
+    def test_stream_matches_log_derivative_oracle(self, first):
+        # every value core_counts yields, across each drop of n // t and on past t = n
+        pcounts = build_p_table(300)
+        got = list(islice(core_counts(300, pcounts, first), 303 - first))
+        assert got == [log_derivative_core_count(300, t, pcounts) for t in range(first, 303)]
 
     @pytest.mark.parametrize("t", [2, 3, 7, 50, 1000, 1501, 2999, 3000])
     def test_matches_log_derivative_oracle_at_3000(self, t):

@@ -68,6 +68,8 @@ class TestCommands:
 
     def test_cores(self, capsys):
         assert invoke(capsys, "cores", "--n", "5", "--t", "3") == (0, "1")
+        # t > n is clamped to n + 1, so this is p(5) after 6 steps, not 2^64
+        assert invoke(capsys, "cores", "--n", "5", "--t", "18446744073709551616") == (0, "7")
 
     def test_count_type1(self, capsys):
         assert invoke(capsys, "count-type1", "--n", "4") == (0, "3")
@@ -196,15 +198,35 @@ class TestExitCodes:
         ["count-type1", "--n", "4,-1"],
         ["sweep", "--n", "5", "--samples", "3", "--mode", "types-only", "--out", "/nonexistent/x.csv"],
         ["sweep", "--n", "5", "--samples", "3", "--mode", "types-only", "--out", "/"],
+        # stream 2 * samples - 1 = 2^64 + 1: rejected, not sampled for ever
+        ["sweep", "--n", "5", "--samples", "9223372036854775809", "--mode", "types-only"],
     ])
     def test_invalid_census_input_is_one_line_error(self, argv):
         proc = subprocess.run(
-            [sys.executable, "-m", "snzeros.cli", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "snzeros.cli", *argv], capture_output=True, text=True,
+            timeout=60,
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("snzeros: error: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["count-type1", "--n", "82:3000"],  # flushes each line
+        ["sample", "--n", "30", "--count", "100000"],  # more than a pipe buffer holds
+    ])
+    def test_closed_stdout_exits_1_without_traceback(self, argv):
+        with subprocess.Popen([sys.executable, "-m", "snzeros.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()  # the reader goes away, as with `| head -1`
+                status = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+            err = proc.stderr.read()
+        assert first and status == 1
+        assert err == b""
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--n", "3:1"],

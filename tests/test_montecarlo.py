@@ -49,6 +49,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("n, samples, seed", [
         (-1, 10, 0), (5, 0, 0), (5, 10, -1), (5, 10, 2**64), (2**64, 10, 0),
+        (5, 2**63 + 1, 0),  # its last stream index, 2 * samples - 1, is 2^64 + 1
     ])
     def test_invalid_inputs(self, n, samples, seed):
         with pytest.raises(SnZerosError):
@@ -56,6 +57,12 @@ class TestEstimate:
         with pytest.raises(SnZerosError):
             EstimateRequest(n_values=(3, n), samples_per_n=samples, master_seed=seed,
                             mode="types-only")
+
+    def test_largest_sample_count_is_accepted(self):
+        # 2^63 samples end at stream 2^64 - 1, the last one a stream can take
+        request = EstimateRequest(n_values=(5,), samples_per_n=2**63, master_seed=0,
+                                  mode="types-only")
+        assert request.samples_per_n == 2**63
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_invalid_worker_count(self, workers):
