@@ -21,11 +21,11 @@ the scan cap, type-1 counts the type-1 and partition-table caps (check_cap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import reduce
 from itertools import accumulate, count
 from operator import add, mul, or_, sub
-from typing import Iterator
 
 from .errors import SnZerosError
 from .mn import classify  # noqa: F401  module attribute the benchmark tracer patches
@@ -43,15 +43,10 @@ def ratio_decimal(num: int, den: int, digits: int = 6) -> str:
     return s[:-digits] + "." + s[-digits:] if digits else s
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(namedtuple("ScanResult", "n total_entries zero_count type1_count type2_count")):
     """Exact tallies over every entry of one character table."""
 
-    n: int
-    total_entries: int
-    zero_count: int
-    type1_count: int
-    type2_count: int
+    __slots__ = ()
 
     def type1_over_zero(self) -> str:
         """The exact-census headline ratio (type-1 zeros) / (all zeros), to 3 decimals."""

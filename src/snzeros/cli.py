@@ -117,7 +117,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=MODES, required=True,
                    help="full-eval evaluates every entry; types-only runs the core tests alone")
     p.add_argument("--threads", type=_auto_workers, default=1, metavar="N|auto",
-                   help="worker processes; does not affect results")
+                   help="sample blocks per n, run on at most one process per CPU; "
+                        "does not affect results")
     p.add_argument("--out", help="write CSV here (plus a .meta.json sidecar) instead of stdout")
 
     p = sub.add_parser("scan",

@@ -11,14 +11,13 @@ memory peaks near one front plus one old slice.  Once only fixed points
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import WeightMismatch
 from .partitions import Partition, dimension, encode, is_t_core, remove_rim_hooks
 
 
-@dataclass(frozen=True)
-class ZeroClass:
+class ZeroClass(namedtuple("ZeroClass", "is_zero is_type1 is_type2 evaluated")):
     """Classification of one character-table entry.
 
     is_type1: the row shape has no hook divisible by the largest cycle length.
@@ -28,10 +27,7 @@ class ZeroClass:
     Otherwise it is exact, from the type-2 test or from full evaluation.
     """
 
-    is_zero: bool
-    is_type1: bool
-    is_type2: bool
-    evaluated: bool
+    __slots__ = ()
 
 
 def character(lam: Partition, mu: Partition) -> int:

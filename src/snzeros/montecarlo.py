@@ -16,12 +16,12 @@ formatter of the CSV schema that sweep, error and exact scan rows share.
 
 from __future__ import annotations
 
-import json
-import multiprocessing
+import os
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, TextIO
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
+from io import TextIOBase
 
 from . import __version__
 from .census import ratio_decimal
@@ -55,43 +55,33 @@ def format_row(n: int, samples: int, mode: str, counts: tuple, tail: tuple) -> s
     return ",".join(fields)
 
 
-@dataclass(frozen=True)
-class EstimateRequest:
+class EstimateRequest(namedtuple("EstimateRequest",
+                                  "n_values samples_per_n master_seed mode workers")):
     """One sweep: the same sample budget and mode over a list of n values, checked here."""
 
-    n_values: tuple[int, ...]
-    samples_per_n: int
-    master_seed: int
-    mode: str
-    workers: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise InvalidMode(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.samples_per_n < 1:
-            raise SnZerosError(f"need at least 1 sample per n, got {self.samples_per_n}")
-        if self.workers < 1:
-            raise SnZerosError(f"need at least 1 worker, got {self.workers}")
-        for n in self.n_values:  # n is hashed into the per-n seed
+    def __new__(cls, n_values: tuple[int, ...], samples_per_n: int, master_seed: int, mode: str,
+                workers: int = 1) -> EstimateRequest:
+        if mode not in MODES:
+            raise InvalidMode(f"mode must be one of {MODES}, got {mode!r}")
+        if samples_per_n < 1:
+            raise SnZerosError(f"need at least 1 sample per n, got {samples_per_n}")
+        if workers < 1:
+            raise SnZerosError(f"need at least 1 worker, got {workers}")
+        for n in n_values:  # n is hashed into the per-n seed
             check_u64("n", n)
-        check_u64("master seed", self.master_seed)
-        check_u64("last stream index", 2 * self.samples_per_n - 1)  # sample i reads 2i and 2i + 1
+        check_u64("master seed", master_seed)
+        check_u64("last stream index", 2 * samples_per_n - 1)  # sample i reads 2i and 2i + 1
+        return tuple.__new__(cls, (n_values, samples_per_n, master_seed, mode, workers))
 
 
-@dataclass
-class DensityEstimate:
+class DensityEstimate(namedtuple(
+        "DensityEstimate", "n samples mode count_zero count_type1 count_type2 master_seed "
+        "rng_name elapsed_seconds error", defaults=(RNG_NAME, 0.0, None))):
     """Per-n tallies; count_zero is None in types-only mode, all counts in an error row."""
 
-    n: int
-    samples: int
-    mode: str
-    count_zero: int | None
-    count_type1: int | None
-    count_type2: int | None
-    master_seed: int
-    rng_name: str = RNG_NAME
-    elapsed_seconds: float = 0.0
-    error: str | None = None
+    __slots__ = ()
 
     def csv_row(self) -> str:
         counts = (self.count_zero, self.count_type1, self.count_type2)
@@ -154,12 +144,16 @@ def estimate(
     if workers == 1:
         zero, type1, type2 = _tally_block(table, n, master_seed, 0, samples, full_eval)
     else:
+        import multiprocessing  # only a pool needs it, and it is slow to import
+
         block = -(-samples // workers)
         jobs = [(n, master_seed, start, min(block, samples - start), full_eval)
                 for start in range(0, samples, block)]
-        # fork hands the table to the workers without pickling or rebuilding it; one process per job
+        # fork hands the table to the workers without pickling or rebuilding it;
+        # one process per block, and no more processes than CPUs
+        processes = min(len(jobs), os.cpu_count() or 1)
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(jobs), initializer=_pool_init, initargs=(table,)) as pool:
+        with ctx.Pool(processes, initializer=_pool_init, initargs=(table,)) as pool:
             parts = pool.map(_pool_tally, jobs)
         zero, type1, type2 = map(sum, zip(*parts))
     elapsed = time.monotonic() - t0
@@ -193,7 +187,7 @@ def sweep(request: EstimateRequest) -> Iterator[DensityEstimate]:
                                   error=str(exc))
 
 
-def write_csv(rows: Iterable[DensityEstimate], out: TextIO) -> None:
+def write_csv(rows: Iterable[DensityEstimate], out: TextIOBase) -> None:
     """Emit the sweep CSV (header plus one row per n), flushing per row."""
     out.write(CSV_HEADER + "\n")
     for row in rows:
@@ -205,12 +199,14 @@ def write_csv(rows: Iterable[DensityEstimate], out: TextIO) -> None:
 
 def request_metadata(request: EstimateRequest) -> str:
     """JSON sidecar describing a sweep run."""
+    import json  # only --out writes a sidecar
+
     return json.dumps(
         {
             "tool": "snzeros",
             "version": __version__,
             "rng_name": RNG_NAME,
-            "request": asdict(request),
+            "request": request._asdict(),
         },
         indent=2,
     )

@@ -13,8 +13,7 @@ what makes large-n character evaluation feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 from math import factorial
 
 from .errors import NonPositivePart, NotWeaklyDecreasing, SnZerosError
@@ -22,25 +21,24 @@ from .errors import NonPositivePart, NotWeaklyDecreasing, SnZerosError
 BAG_SLICE = 65536  # the fastest of 8192..65536 on full-eval; smaller ones cut peak RSS, not time
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """A partition of a nonnegative integer; the empty tuple is the partition of 0."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, parts: tuple[int, ...]) -> Partition:
         """Raise NonPositivePart on an entry < 1, NotWeaklyDecreasing on an increase."""
-        parts = self.parts
-        if list(parts) == sorted(parts, reverse=True) and (not parts or parts[-1] >= 1):
-            return  # valid, checked at C speed: the sampler builds one per draw
-        for p in parts:
-            if p < 1:
-                raise NonPositivePart(f"part {p} is not a positive integer")
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise NotWeaklyDecreasing(f"parts {a},{b} are out of order")
+        # valid parts pass at C speed: the sampler builds one per draw
+        if not (list(parts) == sorted(parts, reverse=True) and (not parts or parts[-1] >= 1)):
+            for p in parts:
+                if p < 1:
+                    raise NonPositivePart(f"part {p} is not a positive integer")
+            for a, b in zip(parts, parts[1:]):
+                if a < b:
+                    raise NotWeaklyDecreasing(f"parts {a},{b} are out of order")
+        return tuple.__new__(cls, (parts,))
 
-    @cached_property
+    @property
     def n(self) -> int:
         return sum(self.parts)
 

@@ -16,7 +16,7 @@ each n.
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import ResourceLimit, SnZerosError
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import ResourceLimit, SnZerosError
@@ -29,16 +29,15 @@ from .partitions import Partition
 RNG_NAME = "mt19937-sha256stream"
 
 
-@dataclass(frozen=True)
-class SampleStream:
+class SampleStream(namedtuple("SampleStream", "master_seed index")):
     """Identifies one deterministic randomness stream: sample #index under master_seed."""
 
-    master_seed: int
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_u64("master seed", self.master_seed)
-        check_u64("stream index", self.index)
+    def __new__(cls, master_seed: int, index: int) -> SampleStream:
+        check_u64("master seed", master_seed)
+        check_u64("stream index", index)
+        return tuple.__new__(cls, (master_seed, index))
 
 
 def check_u64(name: str, value: int) -> None:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import snzeros
 from snzeros.cli import main, parse_partition, parse_range, run
 
 
@@ -148,6 +149,30 @@ class TestReadme:
                 assert status == 0 and out and comment.strip().endswith(out), (line, out)
                 seen.add(argv[0])
         assert seen == checked
+
+
+def test_single_process_paths_load_no_pool_json_or_dataclasses():
+    # a fresh interpreter, without site, lists the modules that the library and these calls add
+    code = """if True:
+        import io, sys
+        sys.path.insert(0, sys.argv[1])
+        before = set(sys.modules)
+        import snzeros, snzeros.census, snzeros.montecarlo, snzeros.cli
+        out, sys.stdout = sys.stdout, io.StringIO()
+        snzeros.cli.run(["sweep", "--n", "8,12", "--samples", "5", "--mode", "full-eval"])
+        sweep_csv, sys.stdout = sys.stdout.getvalue(), out
+        assert sweep_csv.count(",full-eval,") == 2, sweep_csv
+        assert snzeros.census.full_table_scan(6).zero_count == 29
+        assert snzeros.census.count_type1(40) == 260745719
+        print(" ".join(sorted(set(sys.modules) - before)))
+    """
+    src = Path(snzeros.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "snzeros.montecarlo" in added
+    assert added & {"dataclasses", "inspect", "multiprocessing", "json", "typing"} == set()
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 import csv
 import io
 import multiprocessing
+import os
 
 import pytest
 
@@ -101,6 +102,20 @@ class TestEstimate:
 
     @pytest.mark.parametrize("samples, workers, processes", [(3, 64, 3), (40, 2, 2), (5, 4, 3)])
     def test_pool_starts_one_process_per_block(self, monkeypatch, samples, workers, processes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # blocks, not CPUs, bound these pools
+        self.check_pool_size(monkeypatch, samples, workers, processes, blocks=processes)
+
+    @pytest.mark.parametrize("samples, workers, cpus, processes, blocks", [
+        (100, 10**6, 4, 4, 100),  # one-sample blocks, still split workers ways
+        (5, 4, None, 1, 3),  # an unknown CPU count gives one process
+    ])
+    def test_pool_starts_no_more_processes_than_cpus(self, monkeypatch, samples, workers, cpus,
+                                                     processes, blocks):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        self.check_pool_size(monkeypatch, samples, workers, processes, blocks)
+
+    @staticmethod
+    def check_pool_size(monkeypatch, samples, workers, processes, blocks):
         started = []
 
         class InProcessPool:  # records the process count and runs the blocks here, forking none
@@ -115,13 +130,14 @@ class TestEstimate:
                 return False
 
             def map(self, func, jobs):
+                started.append(len(jobs))
                 return list(map(func, jobs))
 
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
         monkeypatch.setattr(montecarlo, "_POOL_TABLE", None)
         est = estimate(12, samples, 9, mode="types-only", workers=workers)
         serial = estimate(12, samples, 9, mode="types-only")
-        assert started == [processes]
+        assert started == [processes, blocks]
         assert (est.count_type1, est.count_type2) == (serial.count_type1, serial.count_type2)
 
     def test_converges_to_exact_density(self):
@@ -172,6 +188,16 @@ class TestSweep:
         req = EstimateRequest(n_values=(8, 9), samples_per_n=10, master_seed=5, mode="full-eval")
         rows = list(sweep(req))
         assert rows[0].master_seed != rows[1].master_seed
+
+    def test_sub_range_reproduces_the_whole_sweep_rows(self):
+        # resuming an interrupted sweep needs no code: each n's seed is derive_seed(master, n)
+        def rows(n_values):
+            req = EstimateRequest(n_values, samples_per_n=40, master_seed=11, mode="full-eval")
+            return [r._replace(elapsed_seconds=None) for r in sweep(req)]
+
+        whole = rows((4, 9, 13, 17, 22))
+        assert rows((13, 17, 22)) == whole[2:]
+        assert rows((9,)) == whole[1:2]
 
     def test_metadata_sidecar(self):
         req = EstimateRequest(n_values=(3,), samples_per_n=7, master_seed=2, mode="types-only")
