@@ -7,8 +7,8 @@ with probability exactly 1/p(n).  For speed the pairs are grouped by the
 removed weight s = d*j, whose total weight is sigma(s)*p(m-s) (sigma = sum of
 divisors); the divisor d is then picked inside the group with weight d.
 
-All probability draws are big-integer exact: a uniform integer below the
-total weight is drawn by rejection from raw bits, never through floats.
+Draws are exact: a float scan places each target (drawn below the total weight
+by rejection from raw bits) only where a rounding bound certifies it (_pick).
 
 Randomness contract: the bits consumed by sample #index are a pure function
 of (master_seed, index).  Each stream seeds an independent MT19937 generator
@@ -22,11 +22,13 @@ import hashlib
 import random
 from collections import namedtuple
 from functools import lru_cache
+from math import isqrt
 
 from .errors import ResourceLimit, SnZerosError
 from .partitions import Partition
 
 RNG_NAME = "mt19937-sha256stream"
+_float_memo: tuple = (None, 0, ())  # ((len(p), p[-1]), shift, _scaled(p, shift)) of one table
 
 
 class SampleStream(namedtuple("SampleStream", "master_seed index")):
@@ -72,25 +74,76 @@ def uniform_below(rng: random.Random, bound: int) -> int:
 
 
 @lru_cache(maxsize=4)
-def _divisor_sums(max_n: int) -> tuple[int, ...]:
-    """sigma(1..max_n) by sieve."""
-    sig = [0] * (max_n + 1)
+def _divisor_sums(max_n: int) -> tuple[float, ...]:
+    """sigma(0..max_n) by sieve, as floats: each is an integer far below 2^53, so exact."""
+    sig = [0.0] * (max_n + 1)
     for d in range(1, max_n + 1):
         for m in range(d, max_n + 1, d):
             sig[m] += d
     return tuple(sig)
 
 
-def _divisors(s: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= s:
+def _in_group(s: int, r: float, w: float) -> tuple[int, int, int]:
+    """(lo, hi, d): d the least divisor of s with r < hi*w; lo, hi sum the divisors < d, <= d."""
+    small, hi = [], 0
+    for d in range(1, isqrt(s) + 1):
         if s % d == 0:
             small.append(d)
-            if d * d != s:
-                large.append(s // d)
-        d += 1
-    return small + large[::-1]
+            lo, hi = hi, hi + d
+            if r < hi * w:
+                return lo, hi, d
+    for e in reversed(small):
+        if e * e != s:
+            lo, hi = hi, hi + s // e
+            if r < hi * w:
+                return lo, hi, s // e
+
+
+def _scaled(p: tuple[int, ...], shift: int) -> tuple[float, ...]:
+    """p(k) / 2^shift for every k, each correctly rounded to a float."""
+    return tuple(x / (1 << shift) for x in p)
+
+
+def _float_table(p: tuple[int, ...]) -> tuple[int, tuple[float, ...]]:
+    """(shift, _scaled(p, shift)), max_n*p(max_n) below 2^1000 units; memoised for one table."""
+    global _float_memo
+    if (memo := _float_memo)[0] != (key := (len(p), p[-1])):
+        shift = max(0, ((len(p) - 1) * p[-1]).bit_length() - 1000)
+        _float_memo = memo = (key, shift, _scaled(p, shift))
+    return memo[1:]
+
+
+def _exact_pick(m: int, target: int, p: tuple[int, ...], sigma: tuple[float, ...]) -> tuple[int, int]:
+    """(s, d) that target, in [0, m*p(m)), selects: group s by the integer scan, then divisor d."""
+    for s in range(1, m + 1):  # subtract whole groups until target falls inside one
+        if target < (group := int(sigma[s]) * p[m - s]):
+            break
+        target -= group
+    return s, _in_group(s, target, p[m - s])[2]  # divisor d has weight d * p(m-s)
+
+
+def _pick(m: int, target: int, p: tuple[int, ...], fp: tuple[float, ...],
+          sigma: tuple[float, ...], shift: int) -> tuple[int, int]:
+    """_exact_pick(m, target, p, sigma), proposed by a float scan of fp = _scaled(p, shift).
+
+    (s, d) is right iff target is in [C + lo*p(m-s), C + hi*p(m-s)), C the weight of groups
+    1..s-1.  In units of 2^shift each float distance to an edge is within (s + 5 + O(s/2^53))
+    * M/2^53 of the exact one, M = m*p(m), plus (s^2 + 3s + 20) / 2^1075 from subnormals.
+    """
+    t = target / (1 << shift)
+    for s in range(1, m + 1):
+        if t < (g := sigma[s] * fp[m - s]):
+            break
+        t -= g
+    else:
+        return _exact_pick(m, target, p, sigma)
+    lo, hi, d = _in_group(s, t, ps := fp[m - s])
+    ulp = m * fp[m] * 2.0**-53
+    if not shift and ulp < 1.0:  # every value is an exact float: shift = 0 and M < 2^53
+        return s, d
+    slack = (s + 8) * ulp + (s * s + 8) * 2.0**-1070
+    certified = slack <= t - lo * ps and slack < hi * ps - t
+    return (s, d) if certified else _exact_pick(m, target, p, sigma)
 
 
 def random_partition(n: int, stream: SampleStream, p: tuple[int, ...]) -> Partition:
@@ -102,24 +155,11 @@ def random_partition(n: int, stream: SampleStream, p: tuple[int, ...]) -> Partit
         raise ResourceLimit(f"n={n} exceeds table max_n={max_n}")
     rng = stream_rng(stream)
     sigma = _divisor_sums(max_n)
+    shift, fp = _float_table(p)
     parts: list[int] = []
     m = n
     while m > 0:
-        target = uniform_below(rng, m * p[m])
-        s = 0
-        while True:  # subtract whole groups until target falls inside one
-            s += 1
-            group = sigma[s] * p[m - s]
-            if target < group:
-                break
-            target -= group
-        # inside group s: divisor d with weight d * p(m-s)
-        u = target // p[m - s]
-        cum = 0
-        for d in _divisors(s):
-            cum += d
-            if u < cum:
-                break
+        s, d = _pick(m, uniform_below(rng, m * p[m]), p, fp, sigma, shift)
         parts.extend([d] * (s // d))
         m -= s
     parts.sort(reverse=True)

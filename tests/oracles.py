@@ -187,3 +187,26 @@ def log_derivative_core_count(n: int, t: int, pcounts: tuple[int, ...]) -> int:
         assert not r, f"inexact division in E^{t} coefficient {m}"
         g[m] = q
     return sum(g[j] * pcounts[n - t * j] for j in range(deg + 1))
+
+
+@lru_cache(maxsize=None)
+def brute_divisors(s: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, s + 1) if s % d == 0)
+
+
+def pick_intervals(m: int, p: tuple[int, ...], groups):
+    """(s, d, lo, hi) for each s in groups and each divisor d of s, s ascending.
+
+    The count-driven sampler at weight m lays the (part d, removed weight s)
+    pairs end to end, s ascending and then d ascending, each d * p(m - s)
+    wide: a target in [lo, hi) removes s by parts d.
+    """
+    start, k = 0, 0  # start: width of the pairs of removed weight < s
+    for s in sorted(groups):
+        while k < s - 1:
+            k += 1
+            start += sum(brute_divisors(k)) * p[m - k]
+        lo = start
+        for d in brute_divisors(s):
+            yield s, d, lo, lo + d * p[m - s]
+            lo += d * p[m - s]

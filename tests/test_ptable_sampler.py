@@ -1,5 +1,7 @@
 import hashlib
+import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -16,9 +18,19 @@ from snzeros import (
 )
 from snzeros.census import count_type1, full_table_scan
 from snzeros.ptable import CAPS, pentagonal_offsets
-from snzeros.sampler import derive_seed, stream_rng, uniform_below
+from snzeros import sampler
+from snzeros.sampler import (
+    _divisor_sums,
+    _exact_pick,
+    _float_table,
+    _pick,
+    _scaled,
+    derive_seed,
+    stream_rng,
+    uniform_below,
+)
 
-from oracles import bounded_part_count, partitions_tuples
+from oracles import bounded_part_count, partitions_tuples, pick_intervals
 
 
 def _sha256_lines(lines) -> str:
@@ -142,10 +154,12 @@ class TestRandomPartition:
     @pytest.mark.parametrize("n, digest", [
         (1000, "cbe04f077f6d1f93636ac26302009484cff1c4155bb46102b76b42dc58af8fc5"),
         (20000, "c046dc6c1b708db380d2763b0ac4a00b22ca415844c4a57de2d933ba116fc16b"),
+        (50000, "9942370f1a8898778336a7efc7470e94dcd92a4023e6fde308e0e744422a0ce7"),
     ])
     def test_frozen_stream_digest(self, table_50000, n, digest):
-        # draws of streams 0..19 under master seed 7, recorded before the
-        # subtraction scan; any change to a draw changes the digest
+        # draws of streams 0..19 under master seed 7, recorded with the integer
+        # scan (n = 1000 and 20000 before the subtraction scan, n = 50000 before
+        # the float scan); any change to a draw changes the digest
         lines = (",".join(map(str, random_partition(n, SampleStream(7, i), table_50000).parts))
                  for i in range(20))
         assert _sha256_lines(lines) == digest
@@ -180,3 +194,67 @@ class TestRandomPartition:
         se = (samples * p * (1 - p)) ** 0.5
         for parts in partitions_tuples(n):
             assert abs(tallies[parts] - samples * p) < 4 * se, parts
+
+
+class TestFloatPick:
+    """_pick places each step's target with floats; it must pick what the integer scan picks."""
+
+    @staticmethod
+    def _edge_cases(m, p, groups):
+        """(target, oracle pick or None) for targets C - 1, C, C + 1 at each edge C of the groups'
+        (s, d) pairs inside [0, m*p(m)); the pick is None where the target is in no listed pair."""
+        pairs = list(pick_intervals(m, p, groups))
+        targets = sorted({t for *_, lo, hi in pairs for c in (lo, hi) for t in (c - 1, c, c + 1)
+                          if 0 <= t < m * p[m]})
+        picks = {}
+        for s, d, lo, hi in pairs:
+            picks.update({t: (s, d) for t in (lo, lo + 1, hi - 1) if lo <= t < hi})
+        return [(t, picks.get(t)) for t in targets]
+
+    @staticmethod
+    def _fallbacks(monkeypatch):
+        """The (m, target) of each step _pick hands to the integer scan."""
+        calls, exact = [], sampler._exact_pick
+        monkeypatch.setattr(sampler, "_exact_pick", lambda *a: calls.append(a[:2]) or exact(*a))
+        return calls
+
+    def test_matches_integer_scan_at_every_edge(self, table_50000, monkeypatch):
+        # m = 1..300 with their first 12 groups and last 3, and the first 100 groups
+        # at m = 5000 and 50000.  Every value is an exact float while m*p(m) < 2^53
+        # (m <= 227); past that, targets next to an edge fall back to the integer scan
+        p, sigma = table_50000, _divisor_sums(50000)
+        shift, fp = _float_table(p)
+        assert shift == 0
+        fallbacks = self._fallbacks(monkeypatch)
+        checked = 0
+        cases = [(m, {*range(1, min(m, 12) + 1), *range(max(m - 2, 1), m + 1)}) for m in range(1, 301)]
+        for m, groups in cases + [(5000, range(1, 101)), (50000, range(1, 101))]:
+            for target, oracle in self._edge_cases(m, p, groups):
+                exact = _exact_pick(m, target, p, sigma)
+                assert oracle in (None, exact), (m, target)
+                assert _pick(m, target, p, fp, sigma, shift) == exact, (m, target)
+                checked += 1
+        assert 0 < len(fallbacks) < checked
+
+    @pytest.mark.parametrize("m, shift", [(1000, 60), (5000, 200), (1000, 1080), (300, 1100)])
+    def test_matches_integer_scan_in_units_of_2_to_the_shift(self, table_50000, monkeypatch, m,
+                                                              shift):
+        # tables past max_n ~ 70000 scan p in units of 2^shift; a forced shift puts a
+        # small table there, and shifts past 1022 make the small p(k), or all, subnormal
+        p, sigma = table_50000, _divisor_sums(50000)
+        fp = _scaled(p, shift)
+        fallbacks = self._fallbacks(monkeypatch)
+        rng = random.Random(m)
+        targets = [t for t, _ in self._edge_cases(m, p, {*range(1, 101), *range(m - 2, m + 1)})]
+        targets += [rng.randrange(m * p[m]) for _ in range(300)]
+        for target in targets:
+            assert _pick(m, target, p, fp, sigma, shift) == _exact_pick(m, target, p, sigma), target
+        assert 0 < len(fallbacks) < len(targets)
+
+    def test_float_table(self):
+        # only len(p) and p[-1] set the shift, which keeps max_n * p(max_n) below 2^1000 units
+        assert _float_table((1, 3 << 1100)) == (102, (2.0**-102, 3 * 2.0**998))
+        table = build_p_table(30)
+        refs = sys.getrefcount(table)
+        assert _float_table(table) == (0, tuple(map(float, table)))
+        assert sys.getrefcount(table) == refs  # the memo does not hold the table
