@@ -239,7 +239,7 @@ class TestFloatPick:
     @pytest.mark.parametrize("m, shift", [(1000, 60), (5000, 200), (1000, 1080), (300, 1100)])
     def test_matches_integer_scan_in_units_of_2_to_the_shift(self, table_50000, monkeypatch, m,
                                                               shift):
-        # tables past max_n ~ 70000 scan p in units of 2^shift; a forced shift puts a
+        # tables from max_n = 73429 on scan p in units of 2^shift; a forced shift puts a
         # small table there, and shifts past 1022 make the small p(k), or all, subnormal
         p, sigma = table_50000, _divisor_sums(50000)
         fp = _scaled(p, shift)
