@@ -16,7 +16,7 @@ zeros number sum_t q(n,t) * c_t(n).  q(n,t) counts column shapes with largest
 part t, by running sums along residue classes (Euler's identity); c_t(n)
 counts row shapes with no hook divisible by t, read off P(x) E(x^t)^t
 (E = prod (1 - x^i)) by core_counts alone, E^t = E^(t-1) * E.  Scans obey
-the scan cap, type-1 counts the type-1 and partition-table caps (check_cap).
+the scan cap, type-1 counts the partition-table cap of their p(0..n) build.
 """
 
 from __future__ import annotations
@@ -49,8 +49,11 @@ class ScanResult(namedtuple("ScanResult", "n total_entries zero_count type1_coun
     __slots__ = ()
 
     def type1_over_zero(self) -> str:
-        """The exact-census headline ratio (type-1 zeros) / (all zeros), to 3 decimals."""
-        return ratio_decimal(self.type1_count, self.zero_count, 3)
+        """The exact-census headline ratio (type-1 zeros) / (all zeros), to 3 decimals.
+
+        "undefined" when the table has no zeros, as for every n <= 2.
+        """
+        return ratio_decimal(self.type1_count, self.zero_count, 3) if self.zero_count else "undefined"
 
 
 def full_table_scan(n: int) -> ScanResult:
@@ -150,8 +153,7 @@ def count_max_part(n: int, pcounts: tuple[int, ...]) -> list[int]:
 
 
 def count_type1(n: int) -> int:
-    """Exact number of type-1 zeros of the weight-n table; n obeys the type-1 and table caps."""
-    check_cap("type-1 count", (n,))
+    """Exact number of type-1 zeros of the weight-n table; n obeys the partition-table cap."""
     pcounts = build_p_table(n)
     # sum_t q(n,t) c_t(n) from t = 2: c_1(n) = 0 for n >= 1
     return sum(map(mul, count_max_part(n, pcounts)[2:], core_counts(n, pcounts, 2)))

@@ -198,13 +198,11 @@ def run(argv: list[str]) -> int:
             counts = (res.zero_count, res.type1_count, res.type2_count)
             # exact rows leave master_seed, rng_name and elapsed_seconds empty
             print(format_row(n, res.total_entries, "exact", counts, (None, None, None)), flush=True)
-            if args.ratio:  # tables with n <= 2 have no zeros
-                ratio = res.type1_over_zero() if res.zero_count else "undefined"
-                print(f"n={n} type1/zero = {ratio}", file=sys.stderr)
+            if args.ratio:
+                print(f"n={n} type1/zero = {res.type1_over_zero()}", file=sys.stderr)
 
     elif args.command == "count-type1":
-        check_cap("type-1 count", args.n)
-        check_cap("partition-table", args.n)  # count_type1 builds p(0..n)
+        check_cap("partition-table", args.n)  # count_type1 builds p(0..n); every n, before any output
         for n in args.n:
             print(count_type1(n), flush=True)
 

@@ -23,7 +23,6 @@ from .errors import ResourceLimit, SnZerosError
 # what -> (environment variable, default) of each size cap
 CAPS = {
     "scan": ("SNZ_SCAN_CAP", 20),
-    "type-1 count": ("SNZ_TYPE1_CAP", 20000),
     "partition-table": ("SNZ_PTABLE_CAP", 100_000),
 }
 

@@ -21,14 +21,13 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import namedtuple
-from functools import lru_cache
 from math import isqrt
 
 from .errors import ResourceLimit, SnZerosError
 from .partitions import Partition
 
 RNG_NAME = "mt19937-sha256stream"
-_float_memo: tuple = (None, 0, ())  # ((len(p), p[-1]), shift, _scaled(p, shift)) of one table
+_float_memo: tuple = (None, 0, (), ())  # ((len(p), p[-1]), shift, _scaled(p, shift), sigma)
 
 
 class SampleStream(namedtuple("SampleStream", "master_seed index")):
@@ -73,16 +72,6 @@ def uniform_below(rng: random.Random, bound: int) -> int:
             return r
 
 
-@lru_cache(maxsize=4)
-def _divisor_sums(max_n: int) -> tuple[float, ...]:
-    """sigma(0..max_n) by sieve, as floats: each is an integer far below 2^53, so exact."""
-    sig = [0.0] * (max_n + 1)
-    for d in range(1, max_n + 1):
-        for m in range(d, max_n + 1, d):
-            sig[m] += d
-    return tuple(sig)
-
-
 def _in_group(s: int, r: float, w: float) -> tuple[int, int, int]:
     """(lo, hi, d): d the least divisor of s with r < hi*w; lo, hi sum the divisors < d, <= d."""
     small, hi = [], 0
@@ -104,12 +93,20 @@ def _scaled(p: tuple[int, ...], shift: int) -> tuple[float, ...]:
     return tuple(x / (1 << shift) for x in p)
 
 
-def _float_table(p: tuple[int, ...]) -> tuple[int, tuple[float, ...]]:
-    """(shift, _scaled(p, shift)), max_n*p(max_n) below 2^1000 units; memoised for one table."""
+def _float_table(p: tuple[int, ...]) -> tuple[int, tuple[float, ...], tuple[float, ...]]:
+    """(shift, _scaled(p, shift), sigma(0..max_n)), max_n*p(max_n) below 2^1000 units.
+
+    Memoised for one table.  sigma is sieved as floats: each is an integer far below 2^53, so exact.
+    """
     global _float_memo
     if (memo := _float_memo)[0] != (key := (len(p), p[-1])):
-        shift = max(0, ((len(p) - 1) * p[-1]).bit_length() - 1000)
-        _float_memo = memo = (key, shift, _scaled(p, shift))
+        max_n = len(p) - 1
+        shift = max(0, (max_n * p[-1]).bit_length() - 1000)
+        sigma = [0.0] * (max_n + 1)
+        for d in range(1, max_n + 1):
+            for m in range(d, max_n + 1, d):
+                sigma[m] += d
+        _float_memo = memo = (key, shift, _scaled(p, shift), tuple(sigma))
     return memo[1:]
 
 
@@ -154,8 +151,7 @@ def random_partition(n: int, stream: SampleStream, p: tuple[int, ...]) -> Partit
     if n > max_n:
         raise ResourceLimit(f"n={n} exceeds table max_n={max_n}")
     rng = stream_rng(stream)
-    sigma = _divisor_sums(max_n)
-    shift, fp = _float_table(p)
+    shift, fp, sigma = _float_table(p)
     parts: list[int] = []
     m = n
     while m > 0:

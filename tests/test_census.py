@@ -51,6 +51,13 @@ class TestFullTableScan:
         res = full_table_scan(1)
         assert (res.total_entries, res.zero_count) == (1, 0)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_ratio_without_zeros(self, n):
+        # the tables with n <= 2 have no zeros, so the ratio has no value
+        res = full_table_scan(n)
+        assert res.zero_count == 0
+        assert res.type1_over_zero() == "undefined"
+
     def test_n3(self):
         res = full_table_scan(3)
         assert (res.zero_count, res.type1_count, res.total_entries) == (1, 1, 9)
@@ -259,6 +266,14 @@ class TestCountType1:
             assert count_type1(n) == full_table_scan(n).type1_count, n
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setenv("SNZ_TYPE1_CAP", "9")
-        with pytest.raises(ResourceLimit, match="n=10 exceeds type-1 count cap 9"):
+        # the p(0..n) build is the one bound on n
+        monkeypatch.setenv("SNZ_PTABLE_CAP", "9")
+        with pytest.raises(ResourceLimit, match="n=10 exceeds partition-table cap 9"):
             count_type1(10)
+        assert count_type1(9) == full_table_scan(9).type1_count
+
+    def test_n20001_under_the_default_caps(self, monkeypatch):
+        # the default partition-table cap (100000) is the only bound on n; about 1 s
+        monkeypatch.delenv("SNZ_PTABLE_CAP", raising=False)
+        got = count_type1(20001)
+        assert isinstance(got, int) and got > 0

@@ -290,7 +290,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, env", [
         (["scan", "--n", "19:21"], {}),
-        (["count-type1", "--n", "28:32"], {"SNZ_TYPE1_CAP": "30"}),
         (["count-type1", "--n", "50,500"], {"SNZ_PTABLE_CAP": "100"}),
     ])
     def test_range_over_cap_fails_before_any_work(self, argv, env):
@@ -384,7 +383,6 @@ class TestFuzz:
         # caps keep every table, scan and series small
         monkeypatch.setenv("SNZ_PTABLE_CAP", "200")
         monkeypatch.setenv("SNZ_SCAN_CAP", "6")
-        monkeypatch.setenv("SNZ_TYPE1_CAP", "40")
         monkeypatch.setattr(sys, "argv", ["snzeros", *argv])
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err), \

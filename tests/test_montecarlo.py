@@ -221,3 +221,14 @@ def test_exact_and_estimated_type1_density_agree_at_n30():
     est = estimate(30, 20_000, 9, mode="types-only")
     se = (exact * (1 - exact) / est.samples) ** 0.5
     assert abs(est.count_type1 / est.samples - exact) <= 4 * se
+
+
+def test_exact_and_estimated_type1_density_agree_at_n20000():
+    # every step from m > 227 on is placed by the certified float scan, which the
+    # chi-square suite (n <= 10) never reaches; z1 = 0.128767 at n = 20000
+    table = build_p_table(20000)
+    exact = count_type1(20000) / table[20000] ** 2
+    assert round(exact, 6) == 0.128767
+    est = estimate(20000, 400, 11, mode="types-only", table=table)
+    se = (exact * (1 - exact) / est.samples) ** 0.5
+    assert abs(est.count_type1 / est.samples - exact) <= 4 * se

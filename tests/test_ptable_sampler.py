@@ -20,7 +20,6 @@ from snzeros.census import count_type1, full_table_scan
 from snzeros.ptable import CAPS, pentagonal_offsets
 from snzeros import sampler
 from snzeros.sampler import (
-    _divisor_sums,
     _exact_pick,
     _float_table,
     _pick,
@@ -84,7 +83,6 @@ class TestPartitionCountTable:
     @pytest.mark.parametrize("var, call", [
         ("SNZ_PTABLE_CAP", lambda: build_p_table(5)),
         ("SNZ_SCAN_CAP", lambda: full_table_scan(5)),
-        ("SNZ_TYPE1_CAP", lambda: count_type1(5)),
     ])
     @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
     def test_bad_cap_variable(self, monkeypatch, var, call, value):
@@ -222,8 +220,8 @@ class TestFloatPick:
         # m = 1..300 with their first 12 groups and last 3, and the first 100 groups
         # at m = 5000 and 50000.  Every value is an exact float while m*p(m) < 2^53
         # (m <= 227); past that, targets next to an edge fall back to the integer scan
-        p, sigma = table_50000, _divisor_sums(50000)
-        shift, fp = _float_table(p)
+        p = table_50000
+        shift, fp, sigma = _float_table(p)
         assert shift == 0
         fallbacks = self._fallbacks(monkeypatch)
         checked = 0
@@ -241,7 +239,8 @@ class TestFloatPick:
                                                               shift):
         # tables from max_n = 73429 on scan p in units of 2^shift; a forced shift puts a
         # small table there, and shifts past 1022 make the small p(k), or all, subnormal
-        p, sigma = table_50000, _divisor_sums(50000)
+        p = table_50000
+        sigma = _float_table(p)[2]
         fp = _scaled(p, shift)
         fallbacks = self._fallbacks(monkeypatch)
         rng = random.Random(m)
@@ -253,8 +252,9 @@ class TestFloatPick:
 
     def test_float_table(self):
         # only len(p) and p[-1] set the shift, which keeps max_n * p(max_n) below 2^1000 units
-        assert _float_table((1, 3 << 1100)) == (102, (2.0**-102, 3 * 2.0**998))
+        assert _float_table((1, 3 << 1100)) == (102, (2.0**-102, 3 * 2.0**998), (0.0, 1.0))
         table = build_p_table(30)
         refs = sys.getrefcount(table)
-        assert _float_table(table) == (0, tuple(map(float, table)))
+        sigma = tuple(float(sum(d for d in range(1, k + 1) if k % d == 0)) for k in range(31))
+        assert _float_table(table) == (0, tuple(map(float, table)), sigma)
         assert sys.getrefcount(table) == refs  # the memo does not hold the table
