@@ -290,6 +290,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, env", [
         (["scan", "--n", "19:21"], {}),
+        (["count-type1", "--n", "28:32"], {"SNZ_PTABLE_CAP": "30"}),
         (["count-type1", "--n", "50,500"], {"SNZ_PTABLE_CAP": "100"}),
     ])
     def test_range_over_cap_fails_before_any_work(self, argv, env):
