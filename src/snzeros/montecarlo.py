@@ -28,7 +28,8 @@ from .census import ratio_decimal
 from .errors import InvalidMode, ResourceLimit, SnZerosError
 from .mn import classify
 from .ptable import build_p_table, check_cap, size_cap
-from .sampler import RNG_NAME, SampleStream, check_u64, derive_seed, random_partition
+from .sampler import (RNG_NAME, SampleStream, _float_table, check_u64, derive_seed,
+                      random_partition)
 
 MODES = ("full-eval", "types-only")
 
@@ -91,14 +92,15 @@ class DensityEstimate(namedtuple(
         return format_row(self.n, self.samples, self.mode, counts, tail)
 
 
-def _tally_block(
-    table: tuple[int, ...],
-    n: int,
-    master_seed: int,
-    start: int,
-    count: int,
-    full_eval: bool,
-) -> tuple[int, int, int]:
+_POOL_TABLE: tuple[int, ...] | None = None  # the table forked workers read; set only while a pool runs
+
+
+def _tally_block(job: tuple[int, int, int, int, bool],
+                 table: tuple[int, ...] | None = None) -> tuple[int, int, int]:
+    """(zero, type1, type2) counts of samples start..start+count-1; table defaults to _POOL_TABLE."""
+    n, master_seed, start, count, full_eval = job
+    if table is None:
+        table = _POOL_TABLE
     zero = type1 = type2 = 0
     for i in range(start, start + count):
         lam = random_partition(n, SampleStream(master_seed, 2 * i), table)
@@ -109,19 +111,6 @@ def _tally_block(
         type1 += zc.is_type1
         type2 += zc.is_type2
     return zero, type1, type2
-
-
-_POOL_TABLE: tuple[int, ...] | None = None
-
-
-def _pool_init(table: tuple[int, ...]) -> None:
-    global _POOL_TABLE
-    _POOL_TABLE = table
-
-
-def _pool_tally(args: tuple[int, int, int, int, bool]) -> tuple[int, int, int]:
-    assert _POOL_TABLE is not None
-    return _tally_block(_POOL_TABLE, *args)
 
 
 def estimate(
@@ -136,26 +125,31 @@ def estimate(
 
     table is build_p_table(m) for some m >= n, built here when None.
     """
+    global _POOL_TABLE
     EstimateRequest((n,), samples, master_seed, mode, workers)  # checks every input
     if table is None:
         table = build_p_table(n)
     full_eval = mode == "full-eval"
     t0 = time.monotonic()
-    if workers == 1:
-        zero, type1, type2 = _tally_block(table, n, master_seed, 0, samples, full_eval)
+    block = -(-samples // workers)
+    jobs = [(n, master_seed, start, min(block, samples - start), full_eval)
+            for start in range(0, samples, block)]
+    # one process per block, and no more processes than CPUs
+    processes = min(len(jobs), os.cpu_count() or 1)
+    if processes == 1:  # in this process: no fork, and no multiprocessing import
+        parts = [_tally_block(job, table) for job in jobs]
     else:
         import multiprocessing  # only a pool needs it, and it is slow to import
 
-        block = -(-samples // workers)
-        jobs = [(n, master_seed, start, min(block, samples - start), full_eval)
-                for start in range(0, samples, block)]
-        # fork hands the table to the workers without pickling or rebuilding it;
-        # one process per block, and no more processes than CPUs
-        processes = min(len(jobs), os.cpu_count() or 1)
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes, initializer=_pool_init, initargs=(table,)) as pool:
-            parts = pool.map(_pool_tally, jobs)
-        zero, type1, type2 = map(sum, zip(*parts))
+        # fork hands the workers the table and the sampler's float tables, built here once
+        _float_table(table)
+        _POOL_TABLE = table
+        try:
+            with multiprocessing.get_context("fork").Pool(processes) as pool:
+                parts = pool.map(_tally_block, jobs)
+        finally:
+            _POOL_TABLE = None
+    zero, type1, type2 = map(sum, zip(*parts))
     elapsed = time.monotonic() - t0
     return DensityEstimate(
         n=n,

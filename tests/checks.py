@@ -146,11 +146,12 @@ def check_sampler_chi_square(
     return results
 
 
-def check_worker_invariance(n: int = 20, samples: int = 300, master_seed: int = 99) -> None:
+def check_worker_invariance(n: int = 20, samples: int = 300, master_seed: int = 99,
+                            mode: str = "full-eval") -> None:
     """Count fields must be bit-identical under 1, 2 and 8 workers."""
     baseline = None
     for workers in (1, 2, 8):
-        est = estimate(n, samples, master_seed, mode="full-eval", workers=workers)
+        est = estimate(n, samples, master_seed, mode=mode, workers=workers)
         key = (est.count_zero, est.count_type1, est.count_type2)
         if baseline is None:
             baseline = key

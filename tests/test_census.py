@@ -30,6 +30,13 @@ from oracles import (
     rolling_max_part_counts,
 )
 
+# n: (p(n)^2, zero, type1, type2) past the default scan cap, recorded with the scan that built
+# every row; test_montecarlo checks its n = 30 full-eval estimate against them
+SCAN_PINS = {
+    26: (5934096, 2323476, 1149780, 1227162),
+    30: (31404816, 11963861, 6010561, 6430956),
+}
+
 
 class TestRatioDecimal:
     def test_basic(self):
@@ -119,12 +126,8 @@ class TestFullTableScan:
         assert res.total_entries == len(list(partitions_tuples(n))) ** 2
         assert (res.zero_count, res.type1_count, res.type2_count) == counts
 
-    @pytest.mark.parametrize("n, values", [
-        (26, (5934096, 2323476, 1149780, 1227162)),
-        (30, (31404816, 11963861, 6010561, 6430956)),
-    ])
+    @pytest.mark.parametrize("n, values", SCAN_PINS.items())
     def test_frozen_counts_past_default_cap(self, monkeypatch, n, values):
-        # (p(n)^2, zero, type1, type2), recorded with the scan that built every row
         monkeypatch.setenv("SNZ_SCAN_CAP", "30")
         res = full_table_scan(n)
         assert (res.total_entries, res.zero_count, res.type1_count, res.type2_count) == values

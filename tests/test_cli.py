@@ -162,6 +162,11 @@ def test_single_process_paths_load_no_pool_json_or_dataclasses():
         snzeros.cli.run(["sweep", "--n", "8,12", "--samples", "5", "--mode", "full-eval"])
         sweep_csv, sys.stdout = sys.stdout.getvalue(), out
         assert sweep_csv.count(",full-eval,") == 2, sweep_csv
+        sys.stdout = io.StringIO()  # one sample is one block, so --threads 4 runs here, unforked
+        snzeros.cli.run(["sweep", "--n", "8", "--samples", "1", "--threads", "4",
+                         "--mode", "types-only"])
+        sweep_csv, sys.stdout = sys.stdout.getvalue(), out
+        assert sweep_csv.count(",types-only,") == 1, sweep_csv
         assert snzeros.census.full_table_scan(6).zero_count == 29
         assert snzeros.census.count_type1(40) == 260745719
         print(" ".join(sorted(set(sys.modules) - before)))

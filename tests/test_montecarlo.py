@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from snzeros import InvalidMode, SnZerosError, build_p_table, montecarlo
+from snzeros import InvalidMode, ResourceLimit, SnZerosError, build_p_table, montecarlo, sampler
 from snzeros.census import count_type1, full_table_scan, ratio_decimal
 from snzeros.montecarlo import (
     CSV_HEADER,
@@ -18,6 +18,7 @@ from snzeros.montecarlo import (
 )
 
 import checks
+from test_census import SCAN_PINS
 
 
 class TestEstimate:
@@ -99,6 +100,24 @@ class TestEstimate:
 
     def test_worker_count_invariance(self):
         checks.check_worker_invariance(n=20, samples=300)
+        # steps from m > 227 on go through the certified float scan, whose values are rounded there
+        checks.check_worker_invariance(n=5000, samples=40, mode="types-only")
+
+    def test_forked_workers_inherit_the_parents_float_tables(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real 2-process pool on any host
+        monkeypatch.setattr(sampler, "_float_memo", (None, 0, (), ()))
+        table = build_p_table(400)
+        est = estimate(300, 40, 5, mode="types-only", workers=2, table=table)
+        assert sampler._float_memo[0] == (len(table), table[-1])  # built once, before the fork
+        assert montecarlo._POOL_TABLE is None
+        serial = estimate(300, 40, 5, mode="types-only", table=table)
+        assert (est.count_type1, est.count_type2) == (serial.count_type1, serial.count_type2)
+
+    def test_failing_pool_leaves_no_table_behind(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(ResourceLimit, match="exceeds table max_n=10"):
+            estimate(12, 4, 5, mode="types-only", workers=2, table=build_p_table(10))
+        assert montecarlo._POOL_TABLE is None
 
     @pytest.mark.parametrize("samples, workers, processes", [(3, 64, 3), (40, 2, 2), (5, 4, 3)])
     def test_pool_starts_one_process_per_block(self, monkeypatch, samples, workers, processes):
@@ -107,7 +126,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("samples, workers, cpus, processes, blocks", [
         (100, 10**6, 4, 4, 100),  # one-sample blocks, still split workers ways
-        (5, 4, None, 1, 3),  # an unknown CPU count gives one process
+        (5, 4, None, 1, 3),  # an unknown CPU count gives one process: no pool, blocks run here
     ])
     def test_pool_starts_no_more_processes_than_cpus(self, monkeypatch, samples, workers, cpus,
                                                      processes, blocks):
@@ -116,12 +135,11 @@ class TestEstimate:
 
     @staticmethod
     def check_pool_size(monkeypatch, samples, workers, processes, blocks):
-        started = []
+        started, ran = [], []
 
         class InProcessPool:  # records the process count and runs the blocks here, forking none
-            def __init__(self, count, initializer, initargs):
+            def __init__(self, count):
                 started.append(count)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -130,28 +148,35 @@ class TestEstimate:
                 return False
 
             def map(self, func, jobs):
-                started.append(len(jobs))
                 return list(map(func, jobs))
 
+        block = montecarlo._tally_block
+
+        def tally_block(*args):  # counts the blocks run, in a pool or in this process
+            ran.append(args[0])
+            return block(*args)
+
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
-        monkeypatch.setattr(montecarlo, "_POOL_TABLE", None)
+        monkeypatch.setattr(montecarlo, "_tally_block", tally_block)
         est = estimate(12, samples, 9, mode="types-only", workers=workers)
+        assert (started, len(ran)) == ([processes] if processes > 1 else [], blocks)
         serial = estimate(12, samples, 9, mode="types-only")
-        assert started == [processes, blocks]
         assert (est.count_type1, est.count_type2) == (serial.count_type1, serial.count_type2)
 
     def test_converges_to_exact_density(self):
-        n, samples = 6, 20_000
-        exact = full_table_scan(n)
-        est = estimate(n, samples, 2718, mode="full-eval")
-        for count, exact_count in [
-            (est.count_zero, exact.zero_count),
-            (est.count_type1, exact.type1_count),
-            (est.count_type2, exact.type2_count),
+        # n = 6 against the scan; n = 30, past the scan's default cap, against its frozen pins
+        scan = full_table_scan(6)
+        for n, samples, workers, (total, *exact_counts) in [
+            (6, 20_000, 1, (scan.total_entries, scan.zero_count, scan.type1_count,
+                            scan.type2_count)),
+            (30, 10_000, 2, SCAN_PINS[30]),
         ]:
-            p = exact_count / exact.total_entries
-            se = (p * (1 - p) / samples) ** 0.5
-            assert abs(count / samples - p) <= 4 * se
+            est = estimate(n, samples, 2718, mode="full-eval", workers=workers)
+            for count, exact_count in zip((est.count_zero, est.count_type1, est.count_type2),
+                                          exact_counts):
+                p = exact_count / total
+                se = (p * (1 - p) / samples) ** 0.5
+                assert abs(count / samples - p) <= 4 * se, (n, count, exact_count)
 
 
 class TestSweep:
