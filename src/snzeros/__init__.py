@@ -7,29 +7,18 @@ for large ones.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    InvalidMode,
-    NonPositivePart,
-    NotWeaklyDecreasing,
-    ResourceLimit,
-    SnZerosError,
-    WeightMismatch,
-)
+from .errors import ResourceLimit, SnZerosError
 from .mn import ZeroClass, character, classify
 from .partitions import Partition, decode, dimension, encode, is_t_core
 from .ptable import build_p_table
 from .sampler import RNG_NAME, SampleStream, random_partition
 
 __all__ = [
-    "InvalidMode",
-    "NonPositivePart",
-    "NotWeaklyDecreasing",
     "Partition",
     "RNG_NAME",
     "ResourceLimit",
     "SampleStream",
     "SnZerosError",
-    "WeightMismatch",
     "ZeroClass",
     "build_p_table",
     "character",

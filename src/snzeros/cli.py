@@ -46,9 +46,12 @@ def parse_partition(text: str) -> Partition:
     if text.strip() == "":
         return Partition(())
     try:
-        return Partition(tuple(int(x) for x in text.split(",")))
+        lam = Partition(tuple(int(x) for x in text.split(",")))
     except (ValueError, SnZerosError) as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from exc
+    # a boundary word grows with the weight; outside the try, so over the cap exits 2
+    check_cap("partition-table", (lam.n,))
+    return lam
 
 
 def parse_range(text: str) -> list[int]:

@@ -1,25 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per CLI exit status."""
 
 
 class SnZerosError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class NonPositivePart(SnZerosError):
-    """A partition part was zero or negative."""
-
-
-class NotWeaklyDecreasing(SnZerosError):
-    """Partition parts were not given in weakly decreasing order."""
-
-
-class WeightMismatch(SnZerosError):
-    """Two partitions expected to have the same weight do not."""
+    """Base class for all errors raised by this package; the CLI exits 1."""
 
 
 class ResourceLimit(SnZerosError):
-    """A configured size cap was exceeded."""
-
-
-class InvalidMode(SnZerosError):
-    """An unknown estimation mode was requested."""
+    """A configured size cap was exceeded; the CLI exits 2."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import WeightMismatch
+from .errors import SnZerosError
 from .partitions import Partition, dimension, encode, is_t_core, remove_rim_hooks
 
 
@@ -33,7 +33,7 @@ class ZeroClass(namedtuple("ZeroClass", "is_zero is_type1 is_type2 evaluated")):
 def character(lam: Partition, mu: Partition) -> int:
     """Exact character value of the irreducible indexed by lam at cycle type mu."""
     if lam.n != mu.n:
-        raise WeightMismatch(f"lambda has weight {lam.n} but mu has weight {mu.n}")
+        raise SnZerosError(f"lambda has weight {lam.n} but mu has weight {mu.n}")
     bag = {encode(lam): 1}
     for t in mu.parts:
         if t == 1:
@@ -51,7 +51,7 @@ def classify(lam: Partition, mu: Partition, evaluate: bool = True) -> ZeroClass:
     certifies the zero by itself; otherwise only full evaluation can.
     """
     if lam.n != mu.n:
-        raise WeightMismatch(f"lambda has weight {lam.n} but mu has weight {mu.n}")
+        raise SnZerosError(f"lambda has weight {lam.n} but mu has weight {mu.n}")
     word = encode(lam)
     is_type1 = bool(mu.parts) and is_t_core(word, mu.parts[0])
     if is_type1:

@@ -25,7 +25,7 @@ from io import TextIOBase
 
 from . import __version__
 from .census import ratio_decimal
-from .errors import InvalidMode, ResourceLimit, SnZerosError
+from .errors import ResourceLimit, SnZerosError
 from .mn import classify
 from .ptable import build_p_table, check_cap, size_cap
 from .sampler import (RNG_NAME, SampleStream, _float_table, check_u64, derive_seed,
@@ -65,7 +65,7 @@ class EstimateRequest(namedtuple("EstimateRequest",
     def __new__(cls, n_values: tuple[int, ...], samples_per_n: int, master_seed: int, mode: str,
                 workers: int = 1) -> EstimateRequest:
         if mode not in MODES:
-            raise InvalidMode(f"mode must be one of {MODES}, got {mode!r}")
+            raise SnZerosError(f"mode must be one of {MODES}, got {mode!r}")
         if samples_per_n < 1:
             raise SnZerosError(f"need at least 1 sample per n, got {samples_per_n}")
         if workers < 1:
@@ -169,8 +169,9 @@ def sweep(request: EstimateRequest) -> Iterator[DensityEstimate]:
     Each n runs under its own derived seed; a failing n yields an error-marker
     estimate instead of aborting the rest of the sweep.
     """
-    # cover as much as the cap allows; capped-out n values become error rows
-    table = build_p_table(min(max(request.n_values, default=0), size_cap("partition-table")))
+    # cover every n within the cap; capped-out n values become error rows
+    cap = size_cap("partition-table")
+    table = build_p_table(max((n for n in request.n_values if n <= cap), default=0))
     for n in request.n_values:
         seed_n = derive_seed(request.master_seed, n)
         try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial
 
-from .errors import NonPositivePart, NotWeaklyDecreasing, SnZerosError
+from .errors import SnZerosError
 
 BAG_SLICE = 65536  # the fastest of 8192..65536 on full-eval; smaller ones cut peak RSS, not time
 
@@ -27,15 +27,15 @@ class Partition(namedtuple("Partition", "parts")):
     __slots__ = ()
 
     def __new__(cls, parts: tuple[int, ...]) -> Partition:
-        """Raise NonPositivePart on an entry < 1, NotWeaklyDecreasing on an increase."""
+        """Raise SnZerosError on an entry < 1, then on an increase."""
         # valid parts pass at C speed: the sampler builds one per draw
         if not (list(parts) == sorted(parts, reverse=True) and (not parts or parts[-1] >= 1)):
             for p in parts:
                 if p < 1:
-                    raise NonPositivePart(f"part {p} is not a positive integer")
+                    raise SnZerosError(f"part {p} is not a positive integer")
             for a, b in zip(parts, parts[1:]):
                 if a < b:
-                    raise NotWeaklyDecreasing(f"parts {a},{b} are out of order")
+                    raise SnZerosError(f"parts {a},{b} are out of order")
         return tuple.__new__(cls, (parts,))
 
     @property

@@ -22,6 +22,7 @@ from snzeros import (
     random_partition,
     SampleStream,
 )
+from snzeros.census import count_max_part
 from snzeros.montecarlo import estimate
 from snzeros.partitions import remove_rim_hooks
 
@@ -143,6 +144,60 @@ def check_sampler_chi_square(
         critical = chi2.ppf(1 - significance, df=p_n - 1)
         assert stat < critical, f"chi-square {stat:.1f} >= {critical:.1f} at n={n}"
         results.append((n, stat, critical))
+    return results
+
+
+def _merged_chi_square(tallies: Counter, law: list[int], draws: int) -> tuple[float, int]:
+    """Chi-square statistic and degrees of freedom of tallies[k] against draws * law[k] / sum(law).
+
+    Adjacent categories are merged until each expects at least 20 draws; a short
+    remainder joins the last merged category.
+    """
+    total = sum(law)
+    bins = []  # (observed, summed law weight) per merged category
+    observed = weight = 0
+    for k, w in enumerate(law):
+        observed += tallies[k]
+        weight += w
+        if draws * weight >= 20 * total:
+            bins.append((observed, weight))
+            observed = weight = 0
+    assert len(bins) >= 2, f"{draws} draws fill fewer than 2 categories"
+    bins[-1] = (bins[-1][0] + observed, bins[-1][1] + weight)
+    assert sum(o for o, _ in bins) == draws, "a tally lies outside the law's support"
+    stat = sum((o - draws * w / total) ** 2 / (draws * w / total) for o, w in bins)
+    return stat, len(bins) - 1
+
+
+def check_sampler_marginals(n: int, draws: int, seed: int,
+                            table: tuple[int, ...] | None = None) -> list[tuple[str, float, float]]:
+    """Chi-square fit, at significance 1e-4, of three marginals of draws at n to their exact laws.
+
+    Largest part: P(lam_1 = t) = q(n, t)/p(n), q from count_max_part.  Number of
+    parts: the same law, by conjugation.  Number of 1s: P(m_1 = j) =
+    (p(n - j) - p(n - j - 1))/p(n).  Draw i reads stream (seed, i); table is a
+    p-table covering n, built here when None.
+    """
+    if table is None:
+        table = build_p_table(n)
+    largest: Counter = Counter()
+    length: Counter = Counter()
+    ones: Counter = Counter()
+    for i in range(draws):
+        parts = random_partition(n, SampleStream(seed, i), table).parts
+        largest[parts[0]] += 1
+        length[len(parts)] += 1
+        ones[parts.count(1)] += 1
+    q = count_max_part(n, table)
+    ones_law = [table[n - j] - (table[n - j - 1] if j < n else 0) for j in range(n + 1)]
+    results = []
+    for name, tallies, law in [("largest part", largest, q), ("number of parts", length, q),
+                               ("number of 1s", ones, ones_law)]:
+        assert sum(law) == table[n], f"{name} law does not sum to p({n})"
+        stat, df = _merged_chi_square(tallies, law, draws)
+        critical = chi2.ppf(1 - 1e-4, df=df)
+        assert stat < critical, f"{name}: chi-square {stat:.1f} >= {critical:.1f} at n={n}"
+        results.append((name, stat, critical))
     return results
 
 

@@ -308,6 +308,32 @@ class TestExitCodes:
         assert proc.stderr.startswith("snzeros: resource limit: n=")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, n", [
+        (["eval", "--lambda", "10", "--mu", "10"], 10),
+        (["classify", "--lambda", "10", "--mu", "10", "--no-eval"], 10),
+        (["encode", "--lambda", "10"], 10),
+        (["encode", "--lambda", "9,1"], 10),
+        (["eval", "--lambda", "9", "--mu", "5,5"], 10),
+        (["eval", "--lambda", "100000000000", "--mu", "100000000000"], 100000000000),
+    ])
+    def test_shape_over_the_table_cap_is_a_resource_limit(self, argv, n):
+        import resource
+
+        def limit_memory():  # a 10^11-bit boundary word would not fit in 400 MB
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "SNZ_PTABLE_CAP": "9"}, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"snzeros: resource limit: n={n} exceeds partition-table cap 9\n"
+
+    def test_shape_at_the_table_cap_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("SNZ_PTABLE_CAP", "9")
+        assert invoke(capsys, "encode", "--lambda", "9") == (0, "0b" + "1" * 9 + "0")
+
     @pytest.mark.parametrize("mode", [None, "auto"])
     def test_sweep_mode_is_required(self, mode):
         argv = ["sweep", "--n", "5", "--samples", "5"] + ([] if mode is None else ["--mode", mode])

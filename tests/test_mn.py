@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from snzeros import (
     Partition,
-    WeightMismatch,
+    SnZerosError,
     character,
     classify,
     dimension,
@@ -41,7 +41,7 @@ class TestCharacter:
         assert character(Partition(()), Partition(())) == 1
 
     def test_weight_mismatch(self):
-        with pytest.raises(WeightMismatch):
+        with pytest.raises(SnZerosError, match="lambda has weight 3 but mu has weight 4"):
             character(Partition((2, 1)), Partition((2, 2)))
 
     def test_base_case_consistency(self):
@@ -107,7 +107,7 @@ class TestClassify:
                     assert zc.is_type1 <= zc.is_type2 <= zc.is_zero
 
     def test_weight_mismatch(self):
-        with pytest.raises(WeightMismatch):
+        with pytest.raises(SnZerosError, match="lambda has weight 3 but mu has weight 4"):
             classify(Partition((3,)), Partition((2, 2)))
 
     def test_is_zero_matches_evaluation(self):

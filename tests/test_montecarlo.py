@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from snzeros import InvalidMode, ResourceLimit, SnZerosError, build_p_table, montecarlo, sampler
+from snzeros import ResourceLimit, SnZerosError, build_p_table, montecarlo, sampler
 from snzeros.census import count_type1, full_table_scan, ratio_decimal
 from snzeros.montecarlo import (
     CSV_HEADER,
@@ -35,13 +35,13 @@ class TestEstimate:
         assert row.startswith("12,100,types-only,,")
 
     def test_invalid_mode(self):
-        with pytest.raises(InvalidMode):
+        with pytest.raises(SnZerosError, match="mode must be one of"):
             estimate(5, 10, 0, mode="exactly")
 
     def test_invalid_request_mode_fails_at_construction(self):
-        with pytest.raises(InvalidMode):
+        with pytest.raises(SnZerosError, match="mode must be one of"):
             EstimateRequest(n_values=(5,), samples_per_n=3, master_seed=0, mode="bogus")
-        with pytest.raises(InvalidMode):
+        with pytest.raises(SnZerosError, match="mode must be one of"):
             EstimateRequest(n_values=(5,), samples_per_n=3, master_seed=0, mode="auto")
         assert EstimateRequest((5,), 3, 0, "types-only").mode == "types-only"
 
@@ -208,6 +208,24 @@ class TestSweep:
         assert fields[10] == "error:n=30 exceeds partition-table cap 20"
         want = f"30,20,types-only,,,,,,,{rows[1].master_seed},error:{rows[1].error},"
         assert rows[1].csv_row() == want
+
+    def test_table_stops_at_the_largest_n_within_the_cap(self, monkeypatch):
+        monkeypatch.setenv("SNZ_PTABLE_CAP", "30")
+        built = []
+
+        def build(max_n):
+            built.append(max_n)
+            return build_p_table(max_n)
+
+        monkeypatch.setattr(montecarlo, "build_p_table", build)
+        rows = list(sweep(EstimateRequest((10, 31), 2, 0, "types-only")))
+        assert built == [10]  # n=31 is an error row, so it does not size the table
+        # the counts a table up to the cap gives
+        want = estimate(10, 2, sampler.derive_seed(0, 10), "types-only", table=build_p_table(30))
+        assert rows[0]._replace(elapsed_seconds=0.0) == want._replace(elapsed_seconds=0.0)
+        seed = sampler.derive_seed(0, 31)
+        assert rows[1].csv_row() == \
+            f"31,2,types-only,,,,,,,{seed},error:n=31 exceeds partition-table cap 30,"
 
     def test_per_n_seeds_differ(self):
         req = EstimateRequest(n_values=(8, 9), samples_per_n=10, master_seed=5, mode="full-eval")

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snzeros import (
-    NonPositivePart,
-    NotWeaklyDecreasing,
     Partition,
     SnZerosError,
     character,
@@ -55,30 +53,30 @@ class TestFromParts:
         assert Partition(()).n == 0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositivePart):
+        with pytest.raises(SnZerosError, match="is not a positive integer"):
             Partition((3, 0))
 
     def test_rejects_increasing(self):
-        with pytest.raises(NotWeaklyDecreasing):
+        with pytest.raises(SnZerosError, match="are out of order"):
             Partition((1, 3))
 
 
 class TestPartitionValidates:
     def test_rejects_increasing(self):
-        with pytest.raises(NotWeaklyDecreasing, match="parts 1,2 are out of order"):
+        with pytest.raises(SnZerosError, match="parts 1,2 are out of order"):
             Partition((1, 2))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositivePart, match="part 0 is not a positive integer"):
+        with pytest.raises(SnZerosError, match="part 0 is not a positive integer"):
             Partition((2, 0))
 
     def test_nonpositive_is_reported_before_order(self):
-        with pytest.raises(NonPositivePart, match="part -1"):
+        with pytest.raises(SnZerosError, match="part -1 is not a positive integer"):
             Partition((1, 3, -1))
 
     def test_unsorted_cycle_type_cannot_reach_character(self):
         # an MN loop that stops at the first 1 would return 2 here, not 0
-        with pytest.raises(NotWeaklyDecreasing):
+        with pytest.raises(SnZerosError, match="parts 1,2 are out of order"):
             character(Partition((2, 1)), Partition((1, 2)))
 
     @given(st.lists(st.integers(-2, 6), max_size=8))
@@ -87,8 +85,9 @@ class TestPartitionValidates:
         valid = all(p >= 1 for p in t) and list(t) == sorted(t, reverse=True)
         try:
             Partition(t)
-        except (NonPositivePart, NotWeaklyDecreasing):
+        except SnZerosError as exc:
             assert not valid
+            assert str(exc).endswith(("is not a positive integer", "are out of order"))
         else:
             assert valid
 

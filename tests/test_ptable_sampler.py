@@ -29,6 +29,7 @@ from snzeros.sampler import (
     uniform_below,
 )
 
+import checks
 from oracles import bounded_part_count, partitions_tuples, pick_intervals
 
 
@@ -192,6 +193,11 @@ class TestRandomPartition:
         se = (samples * p * (1 - p)) ** 0.5
         for parts in partitions_tuples(n):
             assert abs(tallies[parts] - samples * p) < 4 * se, parts
+
+    @pytest.mark.parametrize("n, draws", [(1000, 4000), (20000, 400)])
+    def test_marginals_follow_their_exact_laws(self, table_50000, n, draws):
+        # the chi-square suite stops at n = 10; these reach the certified float scan (m > 227)
+        checks.check_sampler_marginals(n, draws, 1, table_50000)
 
 
 class TestFloatPick:
