@@ -1,11 +1,9 @@
 """Exact partition-count table: the plain tuple (p(0), ..., p(max_n)).
 
-The table is built once per process with Euler's pentagonal-number
-recurrence and shared read-only afterwards; every count is an exact
-Python integer (p(50000) has a couple hundred digits), and the table
-covers every n up to len(table) - 1.  The pentagonal offsets are listed
-once, split by sign, for this recurrence and census's c_t(n) series; each
-p(m) then needs no per-term index arithmetic.
+Every count is an exact Python integer (p(50000) has a couple hundred
+digits); each p(m) is two C-level gathers at fixed negative indices, one
+per sign of Euler's pentagonal-number recurrence, whose offsets are listed
+once, split by sign, for this recurrence and census's c_t(n) series.
 
 The size caps live here too: CAPS gives each cap's environment variable
 and default, size_cap reads the variable on every call, and check_cap is
@@ -17,6 +15,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable
+from operator import itemgetter
 
 from .errors import ResourceLimit, SnZerosError
 
@@ -70,22 +69,18 @@ def pentagonal_offsets(max_deg: int) -> tuple[list[int], list[int]]:
 def build_p_table(max_n: int) -> tuple[int, ...]:
     """(p(0), ..., p(max_n)) by the pentagonal-number recurrence, under the partition-table cap.
 
-    p(m) = sum_{g in odd} p(m - g) - sum_{g in even} p(m - g), with the
-    offsets of pentagonal_offsets.
+    p(m) = sum_{g in odd} p(m - g) - sum_{g in even} p(m - g) over the offsets
+    g <= m of pentagonal_offsets.  Between two pentagonal numbers that set is
+    fixed and p(m - g) is counts[-g], so one itemgetter per sign reads them;
+    index 0 twice (p(0) = 1, cancelling) makes each return a tuple.
     """
     check_cap("partition-table", (max_n,))
     odd, even = pentagonal_offsets(max_n)
-    counts = [0] * (max_n + 1)
-    counts[0] = 1
-    for m in range(1, max_n + 1):
-        total = 0
-        for g in odd:
-            if g > m:
-                break
-            total += counts[m - g]
-        for g in even:
-            if g > m:
-                break
-            total -= counts[m - g]
-        counts[m] = total
+    starts = sorted(odd + even)
+    counts = [1]
+    for start, stop in zip(starts, starts[1:] + [max_n + 1]):
+        plus = itemgetter(0, 0, *[-g for g in odd if g <= start])
+        minus = itemgetter(0, 0, *[-g for g in even if g <= start])
+        for _ in range(start, stop):
+            counts.append(sum(plus(counts)) - sum(minus(counts)))
     return tuple(counts)

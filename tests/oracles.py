@@ -7,7 +7,7 @@ deliberately avoiding the boundary-word machinery under test.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 from operator import add
 
 from snzeros.ptable import pentagonal_offsets
@@ -191,7 +191,9 @@ def log_derivative_core_count(n: int, t: int, pcounts: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def brute_divisors(s: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, s + 1) if s % d == 0)
+    """The divisors of s, ascending, by trial division up to sqrt(s)."""
+    small = [d for d in range(1, isqrt(s) + 1) if s % d == 0]
+    return tuple(small + [s // d for d in reversed(small) if d * d != s])
 
 
 def pick_intervals(m: int, p: tuple[int, ...], groups):

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 from collections import Counter
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from snzeros.sampler import (
 )
 
 import checks
-from oracles import bounded_part_count, partitions_tuples, pick_intervals
+from oracles import bounded_part_count, brute_divisors, partitions_tuples, pick_intervals
 
 
 def _sha256_lines(lines) -> str:
@@ -59,6 +60,24 @@ class TestPartitionCountTable:
         assert _sha256_lines(map(str, table_50000)) == (
             "272530b0ef33e0d9e7afc5dedaa04f2b902913fd33d1c8c7ef78e8cbf6ce356d"
         )
+
+    def test_table_end_meets_the_divisor_sum_identity(self):
+        # m p(m) = sum_{s=1..m} sigma(s) p(m - s) does not use the pentagonal recurrence; check
+        # it at the end of p(0..20000) and within 1 of the last three offsets of each sign
+        n = 20000
+        p = build_p_table(n)
+        sigma = [sum(brute_divisors(s)) for s in range(1, n + 1)]
+        odd, even = pentagonal_offsets(n)
+        ms = {n} | {g + e for g in odd[-3:] + even[-3:] for e in (-1, 0, 1) if g + e <= n}
+        assert len(ms) == 19
+        for m in sorted(ms):
+            assert m * p[m] == sum(map(mul, sigma[:m], reversed(p[:m]))), m
+
+    def test_every_table_end_is_a_prefix(self):
+        # the last block of the build may stop at, just before or just after a pentagonal number
+        full = build_p_table(300)
+        for n in range(301):
+            assert build_p_table(n) == full[:n + 1], n
 
     def test_pentagonal_offsets(self):
         # k = 1, 2, 3, 4: k(3k-1)/2 = 1, 5, 12, 22 and k(3k+1)/2 = 2, 7, 15, 26
