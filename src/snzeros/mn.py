@@ -5,7 +5,8 @@ rim hooks whose sizes are the cycle lengths, largest first.  The expansion
 front is a dictionary mapping canonical boundary words (plain ints, see
 partitions) to exact integer coefficients, so shapes reached along many
 removal paths are merged.  A step frees the old words slice by slice, so
-memory peaks near one front plus one old slice.  Once only fixed points
+memory peaks near one front plus one old slice, and a front over the bag cap
+(ptable.CAPS) ends the evaluation with ResourceLimit.  Once only fixed points
 (cycle length 1) remain, each surviving word gets the hook-length formula.
 """
 
@@ -13,8 +14,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import SnZerosError
+from .errors import ResourceLimit, SnZerosError
 from .partitions import Partition, dimension, encode, is_t_core, remove_rim_hooks
+from .ptable import size_cap
 
 
 class ZeroClass(namedtuple("ZeroClass", "is_zero is_type1 is_type2 evaluated")):
@@ -34,6 +36,7 @@ def character(lam: Partition, mu: Partition) -> int:
     """Exact character value of the irreducible indexed by lam at cycle type mu."""
     if lam.n != mu.n:
         raise SnZerosError(f"lambda has weight {lam.n} but mu has weight {mu.n}")
+    cap = size_cap("bag")
     bag = {encode(lam): 1}
     for t in mu.parts:
         if t == 1:
@@ -41,6 +44,8 @@ def character(lam: Partition, mu: Partition) -> int:
         bag = remove_rim_hooks(bag, t)
         if not bag:
             return 0
+        if len(bag) > cap:
+            raise ResourceLimit(f"a Murnaghan-Nakayama bag exceeds bag cap {cap}")
     return sum(c * dimension(w) for w, c in bag.items())
 
 

@@ -23,6 +23,7 @@ from .errors import ResourceLimit, SnZerosError
 CAPS = {
     "scan": ("SNZ_SCAN_CAP", 20),
     "partition-table": ("SNZ_PTABLE_CAP", 100_000),
+    "bag": ("SNZ_BAG_CAP", 1_000_000),  # words in one Murnaghan-Nakayama bag
 }
 
 

@@ -18,13 +18,20 @@ across workers reproduces the same samples.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from collections import namedtuple
 from math import isqrt
 
 from .errors import ResourceLimit, SnZerosError
 from .partitions import Partition
+
+try:  # CPython's built-in SHA-256, as random takes its sha512: hashlib would load OpenSSL
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 RNG_NAME = "mt19937-sha256stream"
 _float_memo: tuple = (None, 0, (), ())  # ((len(p), p[-1]), shift, _scaled(p, shift), sigma)
@@ -49,7 +56,7 @@ def check_u64(name: str, value: int) -> None:
 
 def stream_rng(stream: SampleStream) -> random.Random:
     """Fresh generator for a stream; identical streams always yield identical bits."""
-    seed = hashlib.sha256(
+    seed = sha256(
         stream.master_seed.to_bytes(8, "big") + stream.index.to_bytes(8, "big")
     ).digest()
     return random.Random(seed)
@@ -57,7 +64,7 @@ def stream_rng(stream: SampleStream) -> random.Random:
 
 def derive_seed(master_seed: int, n: int) -> int:
     """Per-n 64-bit seed for sweeps from (master_seed, n), both checked by check_u64."""
-    digest = hashlib.sha256(
+    digest = sha256(
         b"sweep" + master_seed.to_bytes(8, "big") + n.to_bytes(8, "big")
     ).digest()
     return int.from_bytes(digest[:8], "big")

@@ -177,7 +177,9 @@ def test_single_process_paths_load_no_pool_json_or_dataclasses():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "snzeros.montecarlo" in added
-    assert added & {"dataclasses", "inspect", "multiprocessing", "json", "typing"} == set()
+    # the sweeps seed streams, so SHA-256 comes from the interpreter's built-in module, not OpenSSL
+    assert added & {"dataclasses", "inspect", "multiprocessing", "json", "typing",
+                    "hashlib", "_hashlib"} == set()
 
 
 class TestExitCodes:
@@ -329,6 +331,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"snzeros: resource limit: n={n} exceeds partition-table cap 9\n"
+
+    def test_bag_over_the_cap_is_a_resource_limit(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", "eval", "--lambda", "6,5,4,3,2,1",
+             "--mu", "3,3,3,3,3,3,3"], capture_output=True, text=True,
+            env={**os.environ, "SNZ_BAG_CAP": "11"},  # its bag peaks at 12 words
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == \
+            "snzeros: resource limit: a Murnaghan-Nakayama bag exceeds bag cap 11\n"
 
     def test_shape_at_the_table_cap_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("SNZ_PTABLE_CAP", "9")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from snzeros import (
     Partition,
+    ResourceLimit,
     SnZerosError,
     character,
     classify,
@@ -70,6 +71,15 @@ class TestCharacter:
         lam = Partition((28, 12, 12, 7, 6, 6, 6, 5, 5, 3, 3) + (2,) * 13 + (1,))
         mu = Partition((19, 13, 7, 5, 5, 5, 5) + (2,) * 23 + (1,) * 15)
         assert character(lam, mu) == -198810164448356964926
+
+    def test_bag_over_the_cap_is_a_resource_limit(self, monkeypatch):
+        # the bag of (6,5,4,3,2,1) at 3^7 peaks at 12 words: a cap of 12 keeps the value
+        lam, mu = Partition((6, 5, 4, 3, 2, 1)), Partition((3,) * 7)
+        monkeypatch.setenv("SNZ_BAG_CAP", "12")
+        assert character(lam, mu) == 560
+        monkeypatch.setenv("SNZ_BAG_CAP", "11")
+        with pytest.raises(ResourceLimit, match="^a Murnaghan-Nakayama bag exceeds bag cap 11$"):
+            character(lam, mu)
 
     @given(st.integers(2, 11), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

@@ -209,6 +209,19 @@ class TestSweep:
         want = f"30,20,types-only,,,,,,,{rows[1].master_seed},error:{rows[1].error},"
         assert rows[1].csv_row() == want
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bag_cap_error_row(self, monkeypatch, workers):
+        # under a 5-word bag cap n=12 evaluates all 20 pairs, and a pair of n=20 passes it
+        uncapped = list(sweep(EstimateRequest((12,), 20, 0, "full-eval")))[0]
+        monkeypatch.setenv("SNZ_BAG_CAP", "5")
+        rows = list(sweep(EstimateRequest((12, 20, 8), 20, 0, "full-eval", workers)))
+        assert [r.n for r in rows] == [12, 20, 8]
+        assert rows[0]._replace(elapsed_seconds=0.0) == uncapped._replace(elapsed_seconds=0.0)
+        assert rows[1].error == "a Murnaghan-Nakayama bag exceeds bag cap 5"
+        assert rows[1].csv_row() == (f"20,20,full-eval,,,,,,,{rows[1].master_seed},"
+                                     "error:a Murnaghan-Nakayama bag exceeds bag cap 5,")
+        assert rows[2].error is None and rows[2].count_zero is not None
+
     def test_table_stops_at_the_largest_n_within_the_cap(self, monkeypatch):
         monkeypatch.setenv("SNZ_PTABLE_CAP", "30")
         built = []

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
 from operator import mul
@@ -131,6 +132,28 @@ class TestStreams:
     def test_derive_seed_is_stable(self):
         assert derive_seed(42, 10) == derive_seed(42, 10)
         assert derive_seed(42, 10) != derive_seed(42, 11)
+        # the leading 8 bytes of SHA-256(b"sweep" || seed || n), whichever module computes it
+        assert derive_seed(42, 10) == 9702537759894667063
+        assert derive_seed(0, 0) == 8234951299154486585
+        assert derive_seed(2**64 - 1, 2**64 - 1) == 2786944065805605461
+
+    def test_hashlib_fallback_gives_the_same_seeds(self):
+        # without the interpreter's built-in SHA-256 modules the sampler takes hashlib's
+        code = """if True:
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            sys.modules["_sha2"] = sys.modules["_sha256"] = None
+            from snzeros.sampler import SampleStream, derive_seed, sha256, stream_rng
+            assert sha256 is sys.modules["hashlib"].sha256, sha256
+            assert derive_seed(42, 10) == 9702537759894667063
+            assert derive_seed(0, 0) == 8234951299154486585
+            assert derive_seed(2**64 - 1, 2**64 - 1) == 2786944065805605461
+            assert stream_rng(SampleStream(123, 7)).getrandbits(64) == 9982197194321701127
+        """
+        src = Path(sampler.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("seed, index, field", [
         (-1, 0, "master seed"),
