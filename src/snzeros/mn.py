@@ -5,9 +5,9 @@ rim hooks whose sizes are the cycle lengths, largest first.  The expansion
 front is a dictionary mapping canonical boundary words (plain ints, see
 partitions) to exact integer coefficients, so shapes reached along many
 removal paths are merged.  A step frees the old words slice by slice, so
-memory peaks near one front plus one old slice, and a front over the bag cap
-(ptable.CAPS) ends the evaluation with ResourceLimit.  Once only fixed points
-(cycle length 1) remain, each surviving word gets the hook-length formula.
+memory peaks near one front plus one old slice.  The bag cap (ptable.CAPS) is
+checked between steps: a front over it ends the evaluation with ResourceLimit.
+Once only fixed points (cycle length 1) remain, each word gets the hook-length formula.
 """
 
 from __future__ import annotations

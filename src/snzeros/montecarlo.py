@@ -74,21 +74,23 @@ class EstimateRequest(namedtuple("EstimateRequest",
             check_u64("n", n)
         check_u64("master seed", master_seed)
         check_u64("last stream index", 2 * samples_per_n - 1)  # sample i reads 2i and 2i + 1
+        if mode == "full-eval":  # a malformed SNZ_BAG_CAP fails here, before any row
+            size_cap("bag")
         return tuple.__new__(cls, (n_values, samples_per_n, master_seed, mode, workers))
 
 
 class DensityEstimate(namedtuple(
         "DensityEstimate", "n samples mode count_zero count_type1 count_type2 master_seed "
         "rng_name elapsed_seconds error", defaults=(RNG_NAME, 0.0, None))):
-    """Per-n tallies; count_zero is None in types-only mode, all counts in an error row."""
+    """Per-n tallies; count_zero is None in types-only mode, every count for a capped n."""
 
     __slots__ = ()
 
     def csv_row(self) -> str:
         counts = (self.count_zero, self.count_type1, self.count_type2)
         tail = (self.master_seed, self.rng_name, f"{self.elapsed_seconds:.3f}")
-        if self.error is not None:  # no counts; rng_name carries the message
-            counts, tail = (None, None, None), (self.master_seed, f"error:{self.error}", None)
+        if self.error is not None:  # rng_name carries the message
+            tail = (self.master_seed, f"error:{self.error}", None)
         return format_row(self.n, self.samples, self.mode, counts, tail)
 
 
@@ -96,21 +98,25 @@ _POOL_TABLE: tuple[int, ...] | None = None  # the table forked workers read; set
 
 
 def _tally_block(job: tuple[int, int, int, int, bool],
-                 table: tuple[int, ...] | None = None) -> tuple[int, int, int]:
-    """(zero, type1, type2) counts of samples start..start+count-1; table defaults to _POOL_TABLE."""
+                 table: tuple[int, ...] | None = None) -> tuple[int, int, int, int]:
+    """(zero, type1, type2, cut) counts of samples start..start+count-1; table defaults to _POOL_TABLE."""
     n, master_seed, start, count, full_eval = job
     if table is None:
         table = _POOL_TABLE
-    zero = type1 = type2 = 0
+    zero = type1 = type2 = cut = 0
     for i in range(start, start + count):
         lam = random_partition(n, SampleStream(master_seed, 2 * i), table)
         mu = random_partition(n, SampleStream(master_seed, 2 * i + 1), table)
-        zc = classify(lam, mu, evaluate=full_eval)
+        try:
+            zc = classify(lam, mu, evaluate=full_eval)
+        except ResourceLimit:  # a bag passed the bag cap: not type 2, and 0 or not is unknown
+            cut += 1
+            continue
         if full_eval:
             zero += zc.is_zero
         type1 += zc.is_type1
         type2 += zc.is_type2
-    return zero, type1, type2
+    return zero, type1, type2, cut
 
 
 def estimate(
@@ -123,7 +129,8 @@ def estimate(
 ) -> DensityEstimate:
     """Estimate densities at one n from `samples` independent uniform pairs.
 
-    table is build_p_table(m) for some m >= n, built here when None.
+    table is build_p_table(m) for some m >= n, built here when None.  Pairs over
+    the bag cap are cut: count_zero (then a lower bound) leaves them out, error counts them.
     """
     global _POOL_TABLE
     EstimateRequest((n,), samples, master_seed, mode, workers)  # checks every input
@@ -149,7 +156,7 @@ def estimate(
                 parts = pool.map(_tally_block, jobs)
         finally:
             _POOL_TABLE = None
-    zero, type1, type2 = map(sum, zip(*parts))
+    zero, type1, type2, cut = map(sum, zip(*parts))
     elapsed = time.monotonic() - t0
     return DensityEstimate(
         n=n,
@@ -160,14 +167,15 @@ def estimate(
         count_type2=type2,
         master_seed=master_seed,
         elapsed_seconds=elapsed,
+        error=f"{cut} of {samples} pairs passed bag cap {size_cap('bag')}" if cut else None,
     )
 
 
 def sweep(request: EstimateRequest) -> Iterator[DensityEstimate]:
     """Yield one estimate per n, streamed so long sweeps emit partial output.
 
-    Each n runs under its own derived seed; a failing n yields an error-marker
-    estimate instead of aborting the rest of the sweep.
+    Each n runs under its own derived seed; an n over the partition-table cap
+    yields an error-marker estimate instead of aborting the rest of the sweep.
     """
     # cover every n within the cap; capped-out n values become error rows
     cap = size_cap("partition-table")
@@ -187,7 +195,7 @@ def write_csv(rows: Iterable[DensityEstimate], out: TextIOBase) -> None:
     out.write(CSV_HEADER + "\n")
     for row in rows:
         if row.error is not None:
-            print(f"estimate failed at n={row.n}: {row.error}", file=sys.stderr)
+            print(f"estimate at n={row.n}: {row.error}", file=sys.stderr)
         out.write(row.csv_row() + "\n")
         out.flush()
 

@@ -343,6 +343,28 @@ class TestExitCodes:
         assert proc.stderr == \
             "snzeros: resource limit: a Murnaghan-Nakayama bag exceeds bag cap 11\n"
 
+    def test_pairs_over_the_bag_cap_leave_a_marked_row(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", "sweep", "--n", "5,18", "--samples", "20",
+             "--seed", "0", "--mode", "full-eval"], capture_output=True, text=True,
+            env={**os.environ, "SNZ_BAG_CAP": "1"},
+        )
+        assert proc.returncode == 0
+        rows = proc.stdout.splitlines()
+        assert len(rows) == 3 and "error" not in rows[1]
+        assert rows[2].startswith("18,20,full-eval,7,4,5,")
+        assert rows[2].endswith(",error:11 of 20 pairs passed bag cap 1,")
+        assert proc.stderr == "estimate at n=18: 11 of 20 pairs passed bag cap 1\n"
+
+    def test_malformed_bag_cap_fails_before_the_header(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snzeros.cli", "sweep", "--n", "5", "--samples", "2",
+             "--mode", "full-eval"], capture_output=True, text=True,
+            env={**os.environ, "SNZ_BAG_CAP": "abc"},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "snzeros: error: SNZ_BAG_CAP='abc' is not an integer\n"
+
     def test_shape_at_the_table_cap_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("SNZ_PTABLE_CAP", "9")
         assert invoke(capsys, "encode", "--lambda", "9") == (0, "0b" + "1" * 9 + "0")

@@ -210,17 +210,28 @@ class TestSweep:
         assert rows[1].csv_row() == want
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_bag_cap_error_row(self, monkeypatch, workers):
-        # under a 5-word bag cap n=12 evaluates all 20 pairs, and a pair of n=20 passes it
-        uncapped = list(sweep(EstimateRequest((12,), 20, 0, "full-eval")))[0]
-        monkeypatch.setenv("SNZ_BAG_CAP", "5")
-        rows = list(sweep(EstimateRequest((12, 20, 8), 20, 0, "full-eval", workers)))
-        assert [r.n for r in rows] == [12, 20, 8]
-        assert rows[0]._replace(elapsed_seconds=0.0) == uncapped._replace(elapsed_seconds=0.0)
-        assert rows[1].error == "a Murnaghan-Nakayama bag exceeds bag cap 5"
-        assert rows[1].csv_row() == (f"20,20,full-eval,,,,,,,{rows[1].master_seed},"
-                                     "error:a Murnaghan-Nakayama bag exceeds bag cap 5,")
-        assert rows[2].error is None and rows[2].count_zero is not None
+    def test_pairs_over_the_bag_cap_are_cut(self, monkeypatch, workers):
+        # under a 1-word bag cap n=5 evaluates all 20 pairs, and 11 pairs of n=18 pass it
+        small, full = sweep(EstimateRequest((5, 18), 20, 0, "full-eval"))
+        monkeypatch.setenv("SNZ_BAG_CAP", "1")
+        rows = list(sweep(EstimateRequest((5, 18), 20, 0, "full-eval", workers)))
+        assert rows[0]._replace(elapsed_seconds=0.0) == small._replace(elapsed_seconds=0.0)
+        # n=18 keeps its other pairs' tallies: the type counts are whole, and
+        # count_zero, which leaves the cut pairs out, is a lower bound
+        cut = rows[1]
+        assert cut.error == "11 of 20 pairs passed bag cap 1"
+        assert (cut.count_type1, cut.count_type2) == (full.count_type1, full.count_type2)
+        assert cut.count_zero == 7 and full.count_zero == 9 <= cut.count_zero + 11
+        assert cut.csv_row() == (f"18,20,full-eval,7,4,5,0.350000,0.200000,0.250000,"
+                                 f"{cut.master_seed},error:11 of 20 pairs passed bag cap 1,")
+
+    def test_types_only_reads_no_bag_cap(self, monkeypatch):
+        monkeypatch.setenv("SNZ_BAG_CAP", "abc")
+        with pytest.raises(SnZerosError, match="SNZ_BAG_CAP"):
+            EstimateRequest((5,), 10, 0, "full-eval")
+        # types-only evaluates nothing, so the same variable is never read
+        (row,) = sweep(EstimateRequest((5,), 10, 0, "types-only"))
+        assert row.error is None
 
     def test_table_stops_at_the_largest_n_within_the_cap(self, monkeypatch):
         monkeypatch.setenv("SNZ_PTABLE_CAP", "30")

@@ -16,6 +16,7 @@ from snzeros import (
     SampleStream,
     SnZerosError,
     build_p_table,
+    character,
     random_partition,
 )
 from snzeros.census import count_type1, full_table_scan
@@ -104,6 +105,7 @@ class TestPartitionCountTable:
     @pytest.mark.parametrize("var, call", [
         ("SNZ_PTABLE_CAP", lambda: build_p_table(5)),
         ("SNZ_SCAN_CAP", lambda: full_table_scan(5)),
+        ("SNZ_BAG_CAP", lambda: character(Partition((2,)), Partition((2,)))),
     ])
     @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
     def test_bad_cap_variable(self, monkeypatch, var, call, value):
