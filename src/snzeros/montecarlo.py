@@ -89,8 +89,8 @@ class DensityEstimate(namedtuple(
     def csv_row(self) -> str:
         counts = (self.count_zero, self.count_type1, self.count_type2)
         tail = (self.master_seed, self.rng_name, f"{self.elapsed_seconds:.3f}")
-        if self.error is not None:  # rng_name carries the message
-            tail = (self.master_seed, f"error:{self.error}", None)
+        if self.error is not None:  # rng_name carries the message; a capped n has no time
+            tail = (self.master_seed, f"error:{self.error}", tail[2] if counts[1] is not None else None)
         return format_row(self.n, self.samples, self.mode, counts, tail)
 
 

@@ -222,8 +222,10 @@ class TestSweep:
         assert cut.error == "11 of 20 pairs passed bag cap 1"
         assert (cut.count_type1, cut.count_type2) == (full.count_type1, full.count_type2)
         assert cut.count_zero == 7 and full.count_zero == 9 <= cut.count_zero + 11
-        assert cut.csv_row() == (f"18,20,full-eval,7,4,5,0.350000,0.200000,0.250000,"
-                                 f"{cut.master_seed},error:11 of 20 pairs passed bag cap 1,")
+        # the row keeps its time, which a capped n does not have
+        assert cut._replace(elapsed_seconds=1.5).csv_row() == (
+            f"18,20,full-eval,7,4,5,0.350000,0.200000,0.250000,"
+            f"{cut.master_seed},error:11 of 20 pairs passed bag cap 1,1.500")
 
     def test_types_only_reads_no_bag_cap(self, monkeypatch):
         monkeypatch.setenv("SNZ_BAG_CAP", "abc")
