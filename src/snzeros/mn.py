@@ -5,8 +5,9 @@ rim hooks whose sizes are the cycle lengths, largest first.  The expansion
 front is a dictionary mapping canonical boundary words (plain ints, see
 partitions) to exact integer coefficients, so shapes reached along many
 removal paths are merged.  A step frees the old words slice by slice, so
-memory peaks near one front plus one old slice.  The bag cap (ptable.CAPS) is
-checked between steps: a front over it ends the evaluation with ResourceLimit.
+memory peaks near one front plus one old slice.  The bag cap (ptable.CAPS)
+bounds the front inside a step too: it is checked after each slice, before zeros
+are dropped, and after the step; a front over it ends with ResourceLimit.
 Once only fixed points (cycle length 1) remain, each word gets the hook-length formula.
 """
 
@@ -41,7 +42,7 @@ def character(lam: Partition, mu: Partition) -> int:
     for t in mu.parts:
         if t == 1:
             break  # remaining parts are all 1: finish with dimensions
-        bag = remove_rim_hooks(bag, t)
+        bag = remove_rim_hooks(bag, t, cap)
         if not bag:
             return 0
         if len(bag) > cap:

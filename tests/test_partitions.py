@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from snzeros import (
     Partition,
+    ResourceLimit,
     SnZerosError,
     character,
     decode,
@@ -12,6 +13,7 @@ from snzeros import (
     encode,
     is_t_core,
 )
+from snzeros import partitions as kernel
 from snzeros.partitions import BAG_SLICE, conjugate as conjugate_word, parse_code, remove_rim_hooks
 from snzeros.ptable import build_p_table
 
@@ -229,6 +231,33 @@ class TestRimHookKernel:
             want.update(remove_rim_hooks({w: c}, t))
         assert remove_rim_hooks(bag, t) == {w: c for w, c in want.items() if c}
         assert bag == {}
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @given(shapes=signed_bags, t=st.integers(1, 6))
+    def test_every_slice_boundary_merges(self, size, shapes, t):
+        # bags of 2..8 words walked in slices of 1, 2 or 3: whole, partial and last slices
+        bag = {encode(Partition(parts)): c for parts, c in shapes.items()}
+        want = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "BAG_SLICE", size)
+            for w, c in bag.items():
+                want.update(remove_rim_hooks({w: c}, t))
+            assert remove_rim_hooks(bag, t) == {w: c for w, c in want.items() if c}
+        assert bag == {}
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_front_over_the_cap_after_a_slice_is_a_resource_limit(self, sliced_bag, t):
+        # the walk starts from the bag's last slice; the words it reaches are the front
+        # after that slice (one word's hooks reach distinct shapes, none cancels)
+        first = {v for w, c in list(sliced_bag.items())[-BAG_SLICE:]
+                 for v in remove_rim_hooks({w: c}, t)}
+        with pytest.raises(ResourceLimit, match=f"^a Murnaghan-Nakayama bag exceeds bag cap {len(first) - 1}$"):
+            remove_rim_hooks(dict(sliced_bag), t, len(first) - 1)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_cap_at_the_finished_front_keeps_the_result(self, sliced_bag, t):
+        want = remove_rim_hooks(dict(sliced_bag), t)
+        assert remove_rim_hooks(dict(sliced_bag), t, len(want)) == want
 
     @given(signed_bags)
     def test_one_cell_hooks_are_positive(self, shapes):
