@@ -15,16 +15,18 @@ count twice (once if lam = lam') and no row is stored.  Large n: the type-1
 zeros number sum_t q(n,t) * c_t(n).  q(n,t) counts column shapes with largest
 part t, by running sums along residue classes (Euler's identity); c_t(n)
 counts row shapes with no hook divisible by t, read off P(x) E(x^t)^t
-(E = prod (1 - x^i)) by core_counts alone, E^t = E^(t-1) * E.  Scans obey
+(E = prod (1 - x^i)) by core_counts alone: closed forms to E^3, steps
+E^t = E^(t-1) * E, then exact differences in t for large t.  Scans obey
 the scan cap, type-1 counts the partition-table cap of their p(0..n) build.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterator
 from functools import reduce
-from itertools import accumulate, count
+from math import isqrt
+from itertools import accumulate, islice, repeat
 from operator import add, mul, or_, sub
 
 from .errors import SnZerosError
@@ -97,6 +99,9 @@ def full_table_scan(n: int) -> ScanResult:
     return ScanResult(n, len(words[n]) ** 2, zero, type1, type2)
 
 
+TAIL_J = 16  # core_counts' tail; 10..24 time alike at n = 5000, 8 and 32 are slower at 50000
+
+
 def times_e(g: list[int], deg: int, odd: list[int], even: list[int]) -> list[int]:
     """g * E up to degree deg < len(g), (odd, even) = pentagonal_offsets(D >= deg), no products."""
     h = g[:deg + 1]
@@ -109,24 +114,44 @@ def times_e(g: list[int], deg: int, odd: list[int], even: list[int]) -> list[int
 
 
 def core_counts(n: int, pcounts: tuple[int, ...], first: int) -> Iterator[int]:
-    """c_t(n) for t = first, first + 1, ...: sum_j E^t_j * p(n - t*j), pcounts covering p(0..n).
+    """c_t(n) for t = first, first + 1, ...: sum_j [y^j]E(y)^t * p(n - t*j), pcounts covering p(0..n).
 
-    E^1..E^(first-1) are stepped at degree n // first, then E^t = E^(t-1) * E at degree n // t.
+    c_1(n) = [n = 0]; 2-cores are staircases, c_2(n) = [n is triangular].  From Jacobi's
+    E^3 = sum_k (-1)^k (2k+1) y^(k(k+1)/2) the walk steps E^t = E^(t-1) * E at degree
+    n // max(t, first) up to t = n, or, once n >= TAIL_J (TAIL_J + 2), up to t = n // TAIL_J.
+    Past it each [y^j]E^t read, j <= n // t < TAIL_J, is a degree-j polynomial in t: forward
+    differences extend its last j + 1 stepped values, and one map pass per j adds its terms.
     """
-    deg = n // first
+    yield from (int(n == 0 if t == 1 else isqrt(8 * n + 1) ** 2 == 8 * n + 1) for t in range(first, 3))
+    deg = n // max(first, 3)
     odd, even = pentagonal_offsets(deg)
-    g = [1] + [0] * deg
-    for _ in range(first - 1):
-        g = times_e(g, deg, odd, even)
-    for t in count(first):
-        g = times_e(g, n // t, odd, even)
-        yield sum(map(mul, g, pcounts[n::-t]))
+    jacobi = {k * (k + 1) // 2: (-1) ** k * (2 * k + 1) for k in range(isqrt(2 * deg) + 1)}
+    g = [jacobi.get(i, 0) for i in range(deg + 1)]  # E^3
+    tail = max(first, n // TAIL_J + 1 if n >= TAIL_J * (TAIL_J + 2) else n + 1)  # first t not stepped
+    last = deque(maxlen=TAIL_J)  # coefficients below TAIL_J of the last series stepped
+    for t in range(3, tail):
+        if t >= first:
+            yield sum(map(mul, g, pcounts[n::-t]))
+        last.append(g[:TAIL_J])
+        g = times_e(g, n // max(t + 1, first), odd, even)
+    cs = [pcounts[n]] * (n + 1 - tail)  # c_t(n) for t = tail..n, from the j = 0 term on
+    for j in range(1, n // tail + 1):
+        col = [s[j] for s in list(last)[-j - 1:]]  # [y^j]E^t at t = tail - 1 - j, ..., tail - 1
+        for i in range(1, j + 1):  # col[i] becomes the i-th forward difference at tail - 1 - j
+            col[i:] = map(sub, col[i:], col[i - 1:])
+        seq = repeat(col[j])  # the j-th difference is constant; each accumulate undoes one
+        for d in reversed(col[:j]):
+            seq = accumulate(seq, initial=d)
+        ps = pcounts[n - j * tail::-j]  # p(n - t*j) for t = tail..n // j
+        cs[:len(ps)] = map(add, cs, map(mul, islice(seq, j + 1, None), ps))
+    yield from cs
+    yield from repeat(pcounts[n])  # t > n: every partition of n is a t-core
 
 
 def count_t_cores(n: int, t: int) -> int:
     """c_t(n), partitions of n with no hook divisible by t; p(0..n) obeys the table cap.
 
-    Every partition of n is a t-core once t > n, so t is clamped to n + 1: at most n + 1 steps.
+    Every partition of n is a t-core once t > n, so t is clamped to n + 1: fewer than n steps.
     """
     if n < 0 or t < 1:
         raise SnZerosError(f"c_t(n) needs n >= 0 and t >= 1, got n={n}, t={t}")

@@ -5,9 +5,9 @@ rim hooks whose sizes are the cycle lengths, largest first.  The expansion
 front is a dictionary mapping canonical boundary words (plain ints, see
 partitions) to exact integer coefficients, so shapes reached along many
 removal paths are merged.  A step frees the old words slice by slice, so
-memory peaks near one front plus one old slice.  The bag cap (ptable.CAPS)
-bounds the front inside a step too: it is checked after each slice, before zeros
-are dropped, and after the step; a front over it ends with ResourceLimit.
+memory peaks near one front plus one old slice.  Each step gets the bag cap
+(ptable.CAPS), which partitions.remove_rim_hooks checks after each slice and on
+the finished front; a front over it ends with ResourceLimit.
 Once only fixed points (cycle length 1) remain, each word gets the hook-length formula.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import ResourceLimit, SnZerosError
+from .errors import SnZerosError
 from .partitions import Partition, dimension, encode, is_t_core, remove_rim_hooks
 from .ptable import size_cap
 
@@ -45,8 +45,6 @@ def character(lam: Partition, mu: Partition) -> int:
         bag = remove_rim_hooks(bag, t, cap)
         if not bag:
             return 0
-        if len(bag) > cap:
-            raise ResourceLimit(f"a Murnaghan-Nakayama bag exceeds bag cap {cap}")
     return sum(c * dimension(w) for w, c in bag.items())
 
 

@@ -117,8 +117,8 @@ def remove_rim_hooks(bag: dict[int, int], t: int, cap: int | None = None) -> dic
     the 0-bit t walk steps later, with sign -1 to the number of 0-bits
     strictly between them.  Equal shapes are merged and zero coefficients
     dropped; the result has no particular order.  The bag is empty on return;
-    over BAG_SLICE words, it is walked in slices freed once expanded, and a new
-    front of more than cap words after a slice but the last raises ResourceLimit.
+    over BAG_SLICE words, it is walked in slices freed once expanded.  A front over
+    cap words after a slice but the last, or once zeros are dropped, raises ResourceLimit.
     """
     parity, ones = t & 1, (1 << t) - 1  # the hook at q has window low * ones, low = 1 << q
     new: dict[int, int] = {}
@@ -147,6 +147,8 @@ def remove_rim_hooks(bag: dict[int, int], t: int, cap: int | None = None) -> dic
     if size > 1 and 0 in new.values():  # one word's hooks reach distinct shapes
         for w in [w for w, c in new.items() if not c]:
             del new[w]
+    if cap is not None and len(new) > cap:  # the finished front
+        raise ResourceLimit(f"a Murnaghan-Nakayama bag exceeds bag cap {cap}")
     return new
 
 
