@@ -25,8 +25,8 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from collections.abc import Iterator
 from functools import reduce
-from math import isqrt
 from itertools import accumulate, islice, repeat
+from math import isqrt
 from operator import add, mul, or_, sub
 
 from .errors import SnZerosError
