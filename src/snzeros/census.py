@@ -16,17 +16,18 @@ zeros number sum_t q(n,t) * c_t(n).  q(n,t) counts column shapes with largest
 part t, by running sums along residue classes (Euler's identity); c_t(n)
 counts row shapes with no hook divisible by t, read off P(x) E(x^t)^t
 (E = prod (1 - x^i)) by core_counts alone: closed forms to E^3, steps
-E^t = E^(t-1) * E, then exact differences in t for large t.  Scans obey
-the scan cap, type-1 counts the partition-table cap of their p(0..n) build.
+E^t = E^(t-1) * E, and past t = n // 16 polynomials in t from one table of
+(E - 1)^k.  Scans obey the scan cap, type-1 counts the partition-table cap
+of their p(0..n) build.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import reduce
-from itertools import accumulate, islice, repeat
-from math import isqrt
+from itertools import accumulate, repeat
+from math import comb, isqrt
 from operator import add, mul, or_, sub
 
 from .errors import SnZerosError
@@ -116,46 +117,44 @@ def times_e(g: list[int], deg: int, odd: list[int], even: list[int]) -> list[int
 def core_counts(n: int, pcounts: tuple[int, ...], first: int) -> Iterator[int]:
     """c_t(n) for t = first, first + 1, ...: sum_j [y^j]E(y)^t * p(n - t*j), pcounts covering p(0..n).
 
-    c_1(n) = [n = 0]; 2-cores are staircases, c_2(n) = [n is triangular].  From Jacobi's
-    E^3 = sum_k (-1)^k (2k+1) y^(k(k+1)/2) the walk steps E^t = E^(t-1) * E at degree
-    n // max(t, first) up to t = n, or, once n >= TAIL_J (TAIL_J + 2), up to t = n // TAIL_J.
-    Past it each [y^j]E^t read, j <= n // t < TAIL_J, is a degree-j polynomial in t: forward
-    differences extend its last j + 1 stepped values, and one map pass per j adds its terms.
+    c_1(n) = [n = 0]; 2-cores are staircases, c_2(n) = [n is triangular].  Below the tail's
+    start t0 = max(first, 3, n // TAIL_J + 1) the walk steps E^t = E^(t-1) * E at degree
+    n // max(t, first) from Jacobi's E^3 = sum_k (-1)^k (2k+1) y^(k(k+1)/2).  From t0 on each
+    [y^j]E^t read, j <= n // t0 < TAIL_J, is a degree-j polynomial in t, as E^t = sum_k C(t, k)
+    (E - 1)^k: one table of (E - 1)^k gives its forward differences at t0, and one map pass
+    per j adds its terms.
     """
     yield from (int(n == 0 if t == 1 else isqrt(8 * n + 1) ** 2 == 8 * n + 1) for t in range(first, 3))
+    t0 = max(first, 3, n // TAIL_J + 1)
+    top = n // t0  # the largest j read from t0 on
     deg = n // max(first, 3)
-    odd, even = pentagonal_offsets(deg)
+    odd, even = pentagonal_offsets(deg)  # deg >= top
     jacobi = {k * (k + 1) // 2: (-1) ** k * (2 * k + 1) for k in range(isqrt(2 * deg) + 1)}
     g = [jacobi.get(i, 0) for i in range(deg + 1)]  # E^3
-    tail = max(first, n // TAIL_J + 1 if n >= TAIL_J * (TAIL_J + 2) else n + 1)  # first t not stepped
-    last = deque(maxlen=TAIL_J)  # coefficients below TAIL_J of the last series stepped
-    for t in range(3, tail):
+    for t in range(3, t0) if first < t0 else ():  # the walk runs only below the tail
         if t >= first:
             yield sum(map(mul, g, pcounts[n::-t]))
-        last.append(g[:TAIL_J])
         g = times_e(g, n // max(t + 1, first), odd, even)
-    cs = [pcounts[n]] * (n + 1 - tail)  # c_t(n) for t = tail..n, from the j = 0 term on
-    for j in range(1, n // tail + 1):
-        col = [s[j] for s in list(last)[-j - 1:]]  # [y^j]E^t at t = tail - 1 - j, ..., tail - 1
-        for i in range(1, j + 1):  # col[i] becomes the i-th forward difference at tail - 1 - j
-            col[i:] = map(sub, col[i:], col[i - 1:])
-        seq = repeat(col[j])  # the j-th difference is constant; each accumulate undoes one
-        for d in reversed(col[:j]):
+    b = [[1] + [0] * top]  # b[k][j] = [y^j](E - 1)^k, 0 for j < k
+    for _ in range(top):
+        b.append(list(map(sub, times_e(b[-1], top, odd, even), b[-1])))
+    cs = [pcounts[n]] * max(n + 1 - t0, 0)  # c_t(n) for t = t0..n, from the j = 0 term on
+    for j in range(1, top + 1):  # the i-th forward difference of C(t, k) is C(t, k - i)
+        diffs = [sum(comb(t0, k - i) * b[k][j] for k in range(i, j + 1)) for i in range(j + 1)]
+        seq = repeat(diffs[j])  # the j-th difference is constant; each accumulate undoes one
+        for d in reversed(diffs[:j]):
             seq = accumulate(seq, initial=d)
-        ps = pcounts[n - j * tail::-j]  # p(n - t*j) for t = tail..n // j
-        cs[:len(ps)] = map(add, cs, map(mul, islice(seq, j + 1, None), ps))
+        ps = pcounts[n - j * t0::-j]  # p(n - t*j) for t = t0..n // j
+        cs[:len(ps)] = map(add, cs, map(mul, seq, ps))
     yield from cs
     yield from repeat(pcounts[n])  # t > n: every partition of n is a t-core
 
 
 def count_t_cores(n: int, t: int) -> int:
-    """c_t(n), partitions of n with no hook divisible by t; p(0..n) obeys the table cap.
-
-    Every partition of n is a t-core once t > n, so t is clamped to n + 1: fewer than n steps.
-    """
+    """c_t(n), partitions of n with no hook divisible by t; p(0..n) obeys the table cap."""
     if n < 0 or t < 1:
         raise SnZerosError(f"c_t(n) needs n >= 0 and t >= 1, got n={n}, t={t}")
-    return next(core_counts(n, build_p_table(n), min(t, n + 1)))
+    return next(core_counts(n, build_p_table(n), t))
 
 
 def count_max_part(n: int, pcounts: tuple[int, ...]) -> list[int]:

@@ -189,6 +189,37 @@ def log_derivative_core_count(n: int, t: int, pcounts: tuple[int, ...]) -> int:
     return sum(g[j] * pcounts[n - t * j] for j in range(deg + 1))
 
 
+def t_weight_core_count(n: int, t: int, pcounts: tuple[int, ...]) -> int:
+    """c_t(n) from the t-weight recursion, with no power of E(y) = prod (1 - y^i).
+
+    A partition is its t-core and its t-quotient, a t-tuple of partitions of
+    total size w, the t-weight (James & Kerber 2.7), so p(m) = sum_w k_t(w) *
+    c_t(m - t*w) with k_t(w) = [x^w] P(x)^t.  k_t comes from the log-derivative
+    w k_t(w) = t sum_i sigma(i) k_t(w - i), sigma the divisor sum, and c_t(m) is
+    solved for m = n mod t, n mod t + t, ..., n; p = pcounts.
+    """
+    top = n // t
+    sigma = [0] + [sum(brute_divisors(i)) for i in range(1, top + 1)]
+    k = [1]
+    for w in range(1, top + 1):
+        q, r = divmod(t * sum(sigma[i] * k[w - i] for i in range(1, w + 1)), w)
+        assert not r, f"inexact division in P^{t} coefficient {w}"
+        k.append(q)
+    c: list[int] = []  # c[a] = c_t(n - t*top + t*a)
+    for m in range(n - t * top, n + 1, t):
+        c.append(pcounts[m] - sum(k[w] * c[-w] for w in range(1, len(c) + 1)))
+    return c[-1]
+
+
+def divisor_counts(n: int) -> list[int]:
+    """d[k] = number of divisors of k for k <= n (d[0] = 0), by a sieve."""
+    d = [0] * (n + 1)
+    for i in range(1, n + 1):
+        for m in range(i, n + 1, i):
+            d[m] += 1
+    return d
+
+
 @lru_cache(maxsize=None)
 def brute_divisors(s: int) -> tuple[int, ...]:
     """The divisors of s, ascending, by trial division up to sqrt(s)."""

@@ -1,8 +1,10 @@
 import hashlib
 from itertools import islice
+from operator import mul
 
 import pytest
 
+import snzeros.census
 from snzeros import (
     Partition,
     ResourceLimit,
@@ -13,21 +15,25 @@ from snzeros import (
     is_t_core,
 )
 from snzeros.census import (
+    TAIL_J,
     core_counts,
     count_max_part,
     count_t_cores,
     count_type1,
     full_table_scan,
     ratio_decimal,
+    times_e,
 )
 
 from oracles import (
     bounded_part_count,
     dense_core_count,
+    divisor_counts,
     log_derivative_core_count,
     naive_character,
     partitions_tuples,
     rolling_max_part_counts,
+    t_weight_core_count,
 )
 
 # n: (p(n)^2, zero, type1, type2) past the default scan cap, recorded with the scan that built
@@ -151,7 +157,7 @@ class TestCoreCounts:
     def test_t_larger_than_n_counts_everything(self):
         table = build_p_table(12)
         for n in range(13):
-            for t in (n + 1, 2**64):  # t is clamped to n + 1, so 2^64 takes n + 1 steps
+            for t in (n + 1, 2**64):  # any t > n reads p(n) at once, with no step
                 assert count_t_cores(n, t) == table[n]
 
     def test_two_cores_are_staircases(self):
@@ -178,11 +184,12 @@ class TestCoreCounts:
             for t in range(1, n + 3):  # t > n counts every partition of n
                 assert count_t_cores(n, t) == log_derivative_core_count(n, t, pcounts), (n, t)
 
-    @pytest.mark.parametrize("first", [1, 2, 3, 4, 17])
+    @pytest.mark.parametrize("first", [1, 2, 3, 4, 17, 94, 1501])
     def test_stream_matches_log_derivative_oracle(self, first):
-        # every value core_counts yields, across each drop of n // t and on past t = n: n = 287
-        # steps E^t to t = n, n = 300 to t = 18 and n = 1500 to t = 93, then takes differences
-        for n in (287, 300, 1500):
+        # every value core_counts yields, across each drop of n // t and on past t = n: the walk
+        # steps E^t below t = n // 16 + 1, where the (E - 1)^k table takes over (t = 18 at n =
+        # 287, 19 at 300, 94 at 1500); first = 94 and 1501 start the table at first, no step
+        for n in (n for n in (287, 300, 1500) if first <= n + 2):
             pcounts = build_p_table(n)
             got = list(islice(core_counts(n, pcounts, first), n + 3 - first))
             assert got == [log_derivative_core_count(n, t, pcounts) for t in range(first, n + 3)], n
@@ -191,6 +198,53 @@ class TestCoreCounts:
     def test_matches_log_derivative_oracle_at_3000(self, t):
         pcounts = build_p_table(3000)
         assert count_t_cores(3000, t) == log_derivative_core_count(3000, t, pcounts)
+
+    @pytest.mark.parametrize("first", [313, 5001])
+    def test_tail_start_takes_no_step(self, monkeypatch, first):
+        # 313 = 5000 // 16 + 1 starts the tail, 5001 > n: only the (E - 1)^k table is built
+        n, calls = 5000, []
+        pcounts = build_p_table(n)
+
+        def counted(*args):
+            calls.append(args)
+            return times_e(*args)
+
+        monkeypatch.setattr(snzeros.census, "times_e", counted)
+        got = list(islice(core_counts(n, pcounts, first), n + 3 - first))
+        assert len(calls) <= TAIL_J
+        assert got == list(islice(core_counts(n, pcounts, 2), first - 2, n + 1))
+
+    def test_tail_matches_t_weight_oracle(self):
+        # every t the (E - 1)^k table gives at n = 5000, against p(m) = sum_w k_t(w) c_t(m - tw)
+        n = 5000
+        pcounts = build_p_table(n)
+        start = n // TAIL_J + 1
+        got = list(islice(core_counts(n, pcounts, 2), start - 2, n + 1))
+        assert got == [t_weight_core_count(n, t, pcounts) for t in range(start, n + 3)]
+
+
+@pytest.fixture(scope="module")
+def p50000():
+    return build_p_table(50000)
+
+
+@pytest.mark.parametrize("n", [20001, 50000])
+class TestIdentitiesAtLargeN:
+    def test_first_two_orders_of_core_counts(self, p50000, n):
+        # c_t(n) = p(n) - t p(n - t) for n/2 < t <= n, and + t(t - 3)/2 p(n - 2t) for n/3 < t <= n/2:
+        # [y]E^t = -t and [y^2]E^t = C(t, 2) - t
+        p, lo = p50000, n // 3 + 1
+        want = [p[n] - t * p[n - t] + (t * (t - 3) // 2 * p[n - 2 * t] if 2 * t <= n else 0)
+                for t in range(lo, n + 1)]
+        assert list(islice(core_counts(n, p, lo), n + 1 - lo)) == want
+
+    def test_max_part_counts_count_partitions_and_parts(self, p50000, n):
+        # sum_t t q(n, t) counts the parts of all partitions of n (by conjugation), as does
+        # sum_k d(k) p(n - k): a part i repeated at least m times, i*m = k, leaves p(n - k)
+        p, q = p50000, count_max_part(n, p50000)
+        assert sum(q) == p[n]
+        d = divisor_counts(n)
+        assert sum(map(mul, q, range(n + 1))) == sum(d[k] * p[n - k] for k in range(1, n + 1))
 
 
 class TestMaxPartCounts:
@@ -259,7 +313,7 @@ class TestCountType1:
             assert count_type1(n) == full, n
 
     def test_matches_log_derivative_oracle(self):
-        for n in [*range(200), 287, 288]:  # core_counts takes differences from n = 288 on
+        for n in [*range(200), 287, 288]:  # the (E - 1)^k table starts at t = 18, then at 19
             pcounts = build_p_table(n)
             q = count_max_part(n, pcounts)
             want = sum(q[t] * log_derivative_core_count(n, t, pcounts) for t in range(1, n + 1))

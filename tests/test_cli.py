@@ -70,7 +70,7 @@ class TestCommands:
 
     def test_cores(self, capsys):
         assert invoke(capsys, "cores", "--n", "5", "--t", "3") == (0, "1")
-        # t > n is clamped to n + 1, so this is p(5) after 6 steps, not 2^64
+        # any t > n reads p(5) at once, with no step, not 2^64 of them
         assert invoke(capsys, "cores", "--n", "5", "--t", "18446744073709551616") == (0, "7")
 
     def test_count_type1(self, capsys):
