@@ -101,6 +101,7 @@ def full_table_scan(n: int) -> ScanResult:
 
 
 TAIL_J = 16  # core_counts' tail; 10..24 time alike at n = 5000, 8 and 32 are slower at 50000
+TAIL_BLOCK = 4096  # values of t core_counts' tail holds at once
 
 
 def times_e(g: list[int], deg: int, odd: list[int], even: list[int]) -> list[int]:
@@ -122,7 +123,7 @@ def core_counts(n: int, pcounts: tuple[int, ...], first: int) -> Iterator[int]:
     n // max(t, first) from Jacobi's E^3 = sum_k (-1)^k (2k+1) y^(k(k+1)/2).  From t0 on each
     [y^j]E^t read, j <= n // t0 < TAIL_J, is a degree-j polynomial in t, as E^t = sum_k C(t, k)
     (E - 1)^k: one table of (E - 1)^k gives its forward differences at t0, and one map pass
-    per j adds its terms.
+    per j adds its terms to each block of TAIL_BLOCK values of t.
     """
     yield from (int(n == 0 if t == 1 else isqrt(8 * n + 1) ** 2 == 8 * n + 1) for t in range(first, 3))
     t0 = max(first, 3, n // TAIL_J + 1)
@@ -138,15 +139,19 @@ def core_counts(n: int, pcounts: tuple[int, ...], first: int) -> Iterator[int]:
     b = [[1] + [0] * top]  # b[k][j] = [y^j](E - 1)^k, 0 for j < k
     for _ in range(top):
         b.append(list(map(sub, times_e(b[-1], top, odd, even), b[-1])))
-    cs = [pcounts[n]] * max(n + 1 - t0, 0)  # c_t(n) for t = t0..n, from the j = 0 term on
+    chains = []  # per j: p(n - t*j) for t = t0..n // j, and [y^j]E^t for t = t0, t0 + 1, ...
     for j in range(1, top + 1):  # the i-th forward difference of C(t, k) is C(t, k - i)
         diffs = [sum(comb(t0, k - i) * b[k][j] for k in range(i, j + 1)) for i in range(j + 1)]
         seq = repeat(diffs[j])  # the j-th difference is constant; each accumulate undoes one
         for d in reversed(diffs[:j]):
             seq = accumulate(seq, initial=d)
-        ps = pcounts[n - j * t0::-j]  # p(n - t*j) for t = t0..n // j
-        cs[:len(ps)] = map(add, cs, map(mul, seq, ps))
-    yield from cs
+        chains.append((map(pcounts.__getitem__, range(n - j * t0, -1, -j)), seq))
+    for a in range(t0, n + 1, TAIL_BLOCK):  # c_t(n) for t = a..a + TAIL_BLOCK - 1, at most n
+        cs = [pcounts[n]] * min(TAIL_BLOCK, n + 1 - a)  # from the j = 0 term on
+        for j, (ps, seq) in enumerate(chains, 1):
+            if (k := min(len(cs), n // j + 1 - a)) > 0:  # t = a..n // j read p(n - t*j)
+                cs[:k] = map(add, cs, map(mul, ps, seq))
+        yield from cs
     yield from repeat(pcounts[n])  # t > n: every partition of n is a t-core
 
 

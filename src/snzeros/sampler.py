@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import repeat
 from math import isqrt
+from operator import add, mul
 
 from .errors import ResourceLimit, SnZerosError
 from .partitions import Partition
@@ -79,20 +81,25 @@ def uniform_below(rng: random.Random, bound: int) -> int:
             return r
 
 
-def _in_group(s: int, r: float, w: float) -> tuple[int, int, int]:
-    """(lo, hi, d): d the least divisor of s with r < hi*w; lo, hi sum the divisors < d, <= d."""
-    small, hi = [], 0
-    for d in range(1, isqrt(s) + 1):
-        if s % d == 0:
-            small.append(d)
-            lo, hi = hi, hi + d
-            if r < hi * w:
-                return lo, hi, d
-    for e in reversed(small):
-        if e * e != s:
-            lo, hi = hi, hi + s // e
-            if r < hi * w:
+def _in_group(s: int, r: float, w: float, total: float) -> tuple[int, int, int]:
+    """(lo, hi, d): d the least divisor of s with r < hi*w; lo, hi sum the divisors < d, <= d.
+
+    total = sigma(s).  The walk starts at the largest divisor, the likeliest (weight d), and
+    returns the first d with lo*w <= r.  x*w rounds monotonically in x and each lo is the next
+    smaller divisor's hi, so the largest d with lo*w <= r is the least d with r < hi*w.
+    """
+    small, lo = [], total
+    for e in range(1, isqrt(s) + 1):  # d = s // e descends from s
+        if s % e == 0:
+            small.append(e)
+            hi, lo = lo, lo - s // e
+            if r >= lo * w:
                 return lo, hi, s // e
+    for d in reversed(small):  # then the divisors below sqrt(s), lo reaching 0 at d = 1
+        if d * d != s:
+            hi, lo = lo, lo - d
+            if r >= lo * w:
+                return lo, hi, d
 
 
 def _scaled(p: tuple[int, ...], shift: int) -> tuple[float, ...]:
@@ -109,10 +116,9 @@ def _float_table(p: tuple[int, ...]) -> tuple[int, tuple[float, ...], tuple[floa
     if (memo := _float_memo)[0] != (key := (len(p), p[-1])):
         max_n = len(p) - 1
         shift = max(0, (max_n * p[-1]).bit_length() - 1000)
-        sigma = [0.0] * (max_n + 1)
-        for d in range(1, max_n + 1):
-            for m in range(d, max_n + 1, d):
-                sigma[m] += d
+        sigma = list(map(float, range(max_n + 1)))  # sigma(m) = m + its proper divisors
+        for d in range(1, max_n // 2 + 1):
+            sigma[2 * d::d] = map(add, sigma[2 * d::d], repeat(d))
         _float_memo = memo = (key, shift, _scaled(p, shift), tuple(sigma))
     return memo[1:]
 
@@ -123,7 +129,7 @@ def _exact_pick(m: int, target: int, p: tuple[int, ...], sigma: tuple[float, ...
         if target < (group := int(sigma[s]) * p[m - s]):
             break
         target -= group
-    return s, _in_group(s, target, p[m - s])[2]  # divisor d has weight d * p(m-s)
+    return s, _in_group(s, target, p[m - s], int(sigma[s]))[2]  # d has weight d * p(m-s)
 
 
 def _pick(m: int, target: int, p: tuple[int, ...], fp: tuple[float, ...],
@@ -133,15 +139,23 @@ def _pick(m: int, target: int, p: tuple[int, ...], fp: tuple[float, ...],
     (s, d) is right iff target is in [C + lo*p(m-s), C + hi*p(m-s)), C the weight of groups
     1..s-1.  In units of 2^shift each float distance to an edge is within (s + 5 + O(s/2^53))
     * M/2^53 of the exact one, M = m*p(m), plus (s^2 + 3s + 20) / 2^1075 from subnormals.
+    The scan multiplies sigma read forwards from sigma[1] by fp read backwards from fp[m - 1]
+    (reversed, placed by __setstate__, so no copy): the products and subtractions of
+    sigma[s] * fp[m - s], in the same order, without indexing; s is read back from sig's length.
     """
     t = target / (1 << shift)
-    for s in range(1, m + 1):
-        if t < (g := sigma[s] * fp[m - s]):
+    sig = iter(sigma)
+    next(sig)  # at sigma[1]
+    rev = reversed(fp)
+    rev.__setstate__(m - 1)  # at fp[m - 1]
+    for g in map(mul, sig, rev):  # g = sigma[s] * fp[m - s] for s = 1, 2, ...
+        if t < g:
             break
         t -= g
     else:
         return _exact_pick(m, target, p, sigma)
-    lo, hi, d = _in_group(s, t, ps := fp[m - s])
+    s = len(sigma) - 1 - sig.__length_hint__()  # sig has yielded sigma[1..s]
+    lo, hi, d = _in_group(s, t, ps := fp[m - s], sigma[s])
     ulp = m * fp[m] * 2.0**-53
     if not shift and ulp < 1.0:  # every value is an exact float: shift = 0 and M < 2^53
         return s, d

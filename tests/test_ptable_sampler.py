@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from math import nextafter
 from operator import mul
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from snzeros import sampler
 from snzeros.sampler import (
     _exact_pick,
     _float_table,
+    _in_group,
     _pick,
     _scaled,
     derive_seed,
@@ -283,6 +285,37 @@ class TestFloatPick:
                 assert _pick(m, target, p, fp, sigma, shift) == exact, (m, target)
                 checked += 1
         assert 0 < len(fallbacks) < checked
+
+    def test_matches_integer_scan_at_every_target_to_m_20(self):
+        # every group's index arithmetic: each target in [0, m*p(m)), m <= 20, picks the pair
+        # whose interval holds it, as the integer scan does
+        p = build_p_table(20)
+        shift, fp, sigma = _float_table(p)
+        for m in range(1, 21):
+            picks = [(s, d) for s, d, lo, hi in pick_intervals(m, p, range(1, m + 1))
+                     for _ in range(lo, hi)]
+            assert len(picks) == m * p[m]
+            for target, oracle in enumerate(picks):
+                assert _pick(m, target, p, fp, sigma, shift) == oracle, (m, target)
+                assert _exact_pick(m, target, p, sigma) == oracle, (m, target)
+
+    @pytest.mark.parametrize("w", [1, 3, 0.1, 1 / 3])
+    def test_in_group_matches_an_ascending_walk(self, w):
+        # the walk from the largest divisor returns what the ascending walk returns, for every
+        # integer r below sigma(s)*w and, in floats, at each rounded edge c*w and just below it
+        def ascending(s, r):
+            hi = 0
+            for d in brute_divisors(s):
+                lo, hi = hi, hi + d
+                if r < hi * w:
+                    return lo, hi, d
+
+        for s in range(1, 121):
+            total = sum(brute_divisors(s))
+            edges = [c * w for c in range(total + 1)]
+            rs = {*range(int(total * w) + 1), *edges, *(nextafter(e, 0) for e in edges)}
+            for r in sorted(r for r in rs if r < total * w):
+                assert _in_group(s, r, w, total) == ascending(s, r), (s, r)
 
     @pytest.mark.parametrize("m, shift", [(1000, 60), (5000, 200), (1000, 1080), (300, 1100)])
     def test_matches_integer_scan_in_units_of_2_to_the_shift(self, table_50000, monkeypatch, m,
