@@ -111,17 +111,17 @@ def _float_table(p: tuple[int, ...]) -> tuple[int, tuple[float, ...], tuple[floa
     """(shift, _scaled(p, shift), sigma(0..max_n)), max_n*p(max_n) below 2^1000 units.
 
     Memoised for one table.  sigma is sieved over the divisor pairs a*k of each m, a <= k, one
-    slice pass per a <= sqrt(max_n) and side, and stored as floats: each far below 2^53, so exact.
+    slice pass per a <= sqrt(max_n) and side, in floats: each sum is far below 2^53, so exact.
     """
     global _float_memo
     if (memo := _float_memo)[0] != (key := (len(p), p[-1])):
         max_n = len(p) - 1
         shift = max(0, (max_n * p[-1]).bit_length() - 1000)
-        sigma = [0] * (max_n + 1)
+        sigma = [0.0] * (max_n + 1)
         for a in range(1, isqrt(max_n) + 1):  # the divisor a of a*k, k >= a; then k of a*k, k > a
             sigma[a * a::a] = map(add, sigma[a * a::a], repeat(a))
             sigma[a * a + a::a] = map(add, sigma[a * a + a::a], count(a + 1))
-        _float_memo = memo = (key, shift, _scaled(p, shift), tuple(map(float, sigma)))
+        _float_memo = memo = (key, shift, _scaled(p, shift), tuple(sigma))
     return memo[1:]
 
 
