@@ -29,7 +29,7 @@ from .montecarlo import (
 )
 from .partitions import Partition, decode, encode, parse_code
 from .ptable import build_p_table, check_cap, size_cap
-from .sampler import SampleStream, check_u64, random_partition
+from .sampler import OnDemandTable, SampleStream, check_u64, random_partition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,7 +173,7 @@ def run(argv: list[str]) -> int:
         if args.count < 1:
             raise SnZerosError(f"--count must be at least 1, got {args.count}")
         check_u64("last stream index", args.index_start + args.count - 1)
-        table = build_p_table(args.n)
+        table = OnDemandTable(args.n)
         for i in range(args.index_start, args.index_start + args.count):
             lam = random_partition(args.n, SampleStream(args.seed, i), table)
             print(",".join(str(p) for p in lam.parts))

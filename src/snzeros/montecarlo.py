@@ -28,8 +28,8 @@ from .census import ratio_decimal
 from .errors import ResourceLimit, SnZerosError
 from .mn import classify
 from .ptable import build_p_table, check_cap, size_cap
-from .sampler import (RNG_NAME, SampleStream, _float_table, check_u64, derive_seed,
-                      random_partition)
+from .sampler import (RNG_NAME, OnDemandTable, SampleStream, _float_table, check_u64,
+                      derive_seed, random_partition)
 
 MODES = ("full-eval", "types-only")
 
@@ -94,11 +94,10 @@ class DensityEstimate(namedtuple(
         return format_row(self.n, self.samples, self.mode, counts, tail)
 
 
-_POOL_TABLE: tuple[int, ...] | None = None  # the table forked workers read; set only while a pool runs
+_POOL_TABLE = None  # the table forked workers read; set only while a pool runs
 
 
-def _tally_block(job: tuple[int, int, int, int, bool],
-                 table: tuple[int, ...] | None = None) -> tuple[int, int, int, int]:
+def _tally_block(job: tuple[int, int, int, int, bool], table=None) -> tuple[int, int, int, int]:
     """(zero, type1, type2, cut) counts of samples start..start+count-1; table defaults to _POOL_TABLE."""
     n, master_seed, start, count, full_eval = job
     if table is None:
@@ -125,17 +124,16 @@ def estimate(
     master_seed: int,
     mode: str,
     workers: int = 1,
-    table: tuple[int, ...] | None = None,
+    table=None,
 ) -> DensityEstimate:
     """Estimate densities at one n from `samples` independent uniform pairs.
 
-    table is build_p_table(m) for some m >= n, built here when None.  Pairs over
+    table is p(0..m), m >= n, as random_partition takes it; None is OnDemandTable(n).  Pairs over
     the bag cap are cut: count_zero (then a lower bound) leaves them out, error counts them.
     """
     global _POOL_TABLE
     EstimateRequest((n,), samples, master_seed, mode, workers)  # checks every input
-    if table is None:
-        table = build_p_table(n)
+    table = OnDemandTable(n, build_p_table) if table is None else table
     full_eval = mode == "full-eval"
     t0 = time.monotonic()
     block = -(-samples // workers)
@@ -148,7 +146,7 @@ def estimate(
     else:
         import multiprocessing  # only a pool needs it, and it is slow to import
 
-        # fork hands the workers the table and the sampler's float tables, built here once
+        # fork hands the workers the sampler's float tables, built here once, and the table
         _float_table(table)
         _POOL_TABLE = table
         try:
@@ -179,7 +177,7 @@ def sweep(request: EstimateRequest) -> Iterator[DensityEstimate]:
     """
     # cover every n within the cap; capped-out n values become error rows
     cap = size_cap("partition-table")
-    table = build_p_table(max((n for n in request.n_values if n <= cap), default=0))
+    table = OnDemandTable(max((n for n in request.n_values if n <= cap), default=0), build_p_table)
     for n in request.n_values:
         seed_n = derive_seed(request.master_seed, n)
         try:

@@ -7,8 +7,17 @@ with probability exactly 1/p(n).  For speed the pairs are grouped by the
 removed weight s = d*j, whose total weight is sigma(s)*p(m-s) (sigma = sum of
 divisors); the divisor d is then picked inside the group with weight d.
 
-Draws are exact: a float scan places each target (drawn below the total weight
-by rejection from raw bits) only where a rounding bound certifies it (_pick).
+Draws are exact: a float scan places each target (drawn below the total weight by rejection from
+raw bits) where a rounding bound certifies it (_pick); p(m) is read where floats cannot decide
+(_draw, _exact_pick), below K0 = 1000 from a small exact table, from K0 on from the caller's table.
+
+Float table: fp[k] ~ p(k) / 2^shift, the shift set by max_n so that max_n*p(max_n) is below 2^1000
+units; p(k) correctly rounded below K0, then the first Hardy-Ramanujan-Rademacher term e^(C*lam -
+shift*ln 2) * (C - 1/lam) / (4*pi*sqrt(2)*lam^2), lam = sqrt(k - 1/24), C = pi*sqrt(2/3), within
+EPS = 2^-40 relative: the omitted terms shrink like e^(-C*lam/2), below 2e-18 from K0 on; to first
+order in u = 2^-53, lam is within 1.5u, C and LN2 are correctly rounded, the exponent is off by
+u*(4.5*C*lam + 3*shift*ln 2) at most, libm's exp is assumed within 1 ulp, the prefactor adds 12.1u:
+at max_n's lam, 0.49 EPS for max_n = 100000 and 0.8 EPS at FLOAT_MAX_N (measured: 0.15 EPS).
 
 Randomness contract: the bits consumed by sample #index are a pure function
 of (master_seed, index).  Each stream seeds an independent MT19937 generator
@@ -21,11 +30,12 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from itertools import count, repeat
-from math import isqrt
-from operator import add, mul
+from math import exp, frexp, isqrt, log, pi, sqrt
+from operator import add, mul, sub
 
 from .errors import ResourceLimit, SnZerosError
 from .partitions import Partition
+from .ptable import build_p_table, check_cap
 
 try:  # CPython's built-in SHA-256, as random takes its sha512: hashlib would load OpenSSL
     from _sha2 import sha256  # 3.12+
@@ -36,7 +46,25 @@ except ImportError:
         from hashlib import sha256
 
 RNG_NAME = "mt19937-sha256stream"
-_float_memo: tuple = (None, 0, (), ())  # ((len(p), p[-1]), shift, _scaled(p, shift), sigma)
+K0, EPS, FLOAT_MAX_N = 1000, 2.0**-40, 200_000  # the float table's bounds: see above
+C, D, LN2 = pi * sqrt(2 / 3), 4 * pi * sqrt(2), log(2)
+_float_memo: tuple = (None, 0, (), (), ())  # (max_n, shift, fp, sigma, small)
+
+
+class OnDemandTable:
+    """p(0..max_n), checked against the partition-table cap when made, built on its first read."""
+
+    def __init__(self, max_n: int, build=build_p_table) -> None:
+        check_cap("partition-table", (max_n,))
+        self.max_n, self.build, self.values = max_n, build, None
+
+    def __len__(self) -> int:
+        return self.max_n + 1
+
+    def __getitem__(self, k):
+        if self.values is None:
+            self.values = self.build(self.max_n)
+        return self.values[k]
 
 
 class SampleStream(namedtuple("SampleStream", "master_seed index")):
@@ -81,6 +109,23 @@ def uniform_below(rng: random.Random, bound: int) -> int:
             return r
 
 
+def _draw(rng: random.Random, m: int, fm: float, shift: int, p) -> int:
+    """uniform_below(rng, m * p[m]), m >= K0, reading p[m] only where fm = m * fp[m] cannot decide.
+
+    fm = f * 2^e, within 2*EPS of M / 2^shift (M = m*p(m)), puts M / 2^(k - 60), k = e + shift, in
+    (c - d, c + d): k is M's bit length if 2^59 <= c - d, c + d <= 2^60; draws read M only there.
+    """
+    f, e = frexp(fm)
+    c, d = int(f * 2.0**60), int(EPS * 2.0**62) + 2
+    if c - d < 1 << 59 or c + d > 1 << 60:
+        return uniform_below(rng, m * p[m])
+    k = e + shift
+    while True:
+        r = rng.getrandbits(k)
+        if r >> k - 60 < c - d or r >> k - 60 < c + d and r < m * p[m]:
+            return r
+
+
 def _in_group(s: int, r: float, w: float, total: float) -> tuple[int, int, int]:
     """(lo, hi, d): d the least divisor of s with r < hi*w; lo, hi sum the divisors < d, <= d.
 
@@ -107,21 +152,26 @@ def _scaled(p: tuple[int, ...], shift: int) -> tuple[float, ...]:
     return tuple(x / (1 << shift) for x in p)
 
 
-def _float_table(p: tuple[int, ...]) -> tuple[int, tuple[float, ...], tuple[float, ...]]:
-    """(shift, _scaled(p, shift), sigma(0..max_n)), max_n*p(max_n) below 2^1000 units.
+def _float_table(p) -> tuple[int, tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
+    """(shift, fp, sigma(0..max_n), small = p(0..min(max_n, K0 - 1))) for p = p(0..max_n).
 
-    Memoised for one table.  sigma is sieved over the divisor pairs a*k of each m, a <= k, one
-    slice pass per a <= sqrt(max_n) and side, in floats: each sum is far below 2^53, so exact.
+    Memoised for one max_n; p is read, and scaled, only past FLOAT_MAX_N.  sigma is sieved over
+    the divisor pairs a*k of each m, a <= k, one slice pass per a <= sqrt(max_n) and side, in
+    floats: each sum is far below 2^53, so exact.
     """
     global _float_memo
-    if (memo := _float_memo)[0] != (key := (len(p), p[-1])):
-        max_n = len(p) - 1
-        shift = max(0, (max_n * p[-1]).bit_length() - 1000)
+    if (memo := _float_memo)[0] != (max_n := len(p) - 1):
+        small = build_p_table(min(max_n, K0 - 1))
+        lam = sqrt((top := max(max_n, K0)) - 1 / 24)  # the bits of top * p(top), by the term
+        shift = max(0, int((C * lam + log(top * (C - 1 / lam) / (D * lam * lam))) / LN2) - 999)
+        fp = _scaled(small, shift) + (_scaled(p[K0:], shift) if max_n > FLOAT_MAX_N else tuple(
+            exp(C * lam - shift * LN2) * (C - 1 / lam) / (D * lam * lam)
+            for lam in map(sqrt, map(sub, range(K0, max_n + 1), repeat(1 / 24)))))
         sigma = [0.0] * (max_n + 1)
         for a in range(1, isqrt(max_n) + 1):  # the divisor a of a*k, k >= a; then k of a*k, k > a
             sigma[a * a::a] = map(add, sigma[a * a::a], repeat(a))
             sigma[a * a + a::a] = map(add, sigma[a * a + a::a], count(a + 1))
-        _float_memo = memo = (key, shift, _scaled(p, shift), tuple(sigma))
+        _float_memo = memo = (max_n, shift, fp, tuple(sigma), small)
     return memo[1:]
 
 
@@ -136,11 +186,12 @@ def _exact_pick(m: int, target: int, p: tuple[int, ...], sigma: tuple[float, ...
 
 def _pick(m: int, target: int, p: tuple[int, ...], fp: tuple[float, ...],
           sigma: tuple[float, ...], shift: int) -> tuple[int, int]:
-    """_exact_pick(m, target, p, sigma), proposed by a float scan of fp = _scaled(p, shift).
+    """_exact_pick(m, target, p, sigma), proposed by a float scan of fp ~ p / 2^shift.
 
-    (s, d) is right iff target is in [C + lo*p(m-s), C + hi*p(m-s)), C the weight of groups
+    (s, d) is right iff target is in [W + lo*p(m-s), W + hi*p(m-s)), W the weight of groups
     1..s-1.  In units of 2^shift each float distance to an edge is within (s + 5 + O(s/2^53))
-    * M/2^53 of the exact one, M = m*p(m), plus (s^2 + 3s + 20) / 2^1075 from subnormals.
+    * M/2^53 of the exact one, M = m*p(m), plus (s^2 + 3s + 20) / 2^1075 from subnormals and
+    EPS*M from fp's own error (the groups scanned and the edge sum to M at most), doubled.
     The scan multiplies sigma read forwards from sigma[1] by fp read backwards from fp[m - 1]
     (reversed, placed by __setstate__, so no copy): the products and subtractions of
     sigma[s] * fp[m - s], in the same order, without indexing; s is read back from sig's length.
@@ -161,24 +212,25 @@ def _pick(m: int, target: int, p: tuple[int, ...], fp: tuple[float, ...],
     ulp = m * fp[m] * 2.0**-53
     if not shift and ulp < 1.0:  # every value is an exact float: shift = 0 and M < 2^53
         return s, d
-    slack = (s + 8) * ulp + (s * s + 8) * 2.0**-1070
+    slack = (s + 8 + EPS * 2.0**54) * ulp + (s * s + 8) * 2.0**-1070
     certified = slack <= t - lo * ps and slack < hi * ps - t
     return (s, d) if certified else _exact_pick(m, target, p, sigma)
 
 
-def random_partition(n: int, stream: SampleStream, p: tuple[int, ...]) -> Partition:
-    """One partition of n, uniform with probability exactly 1/p(n); p = build_p_table(max_n)."""
+def random_partition(n: int, stream: SampleStream, p) -> Partition:
+    """One partition of n, uniform with probability exactly 1/p(n); p = p(0..max_n), max_n >= n."""
     max_n = len(p) - 1
     if n < 0:
         raise SnZerosError(f"n must be >= 0, got {n}")
     if n > max_n:
         raise ResourceLimit(f"n={n} exceeds table max_n={max_n}")
     rng = stream_rng(stream)
-    shift, fp, sigma = _float_table(p)
+    shift, fp, sigma, small = _float_table(p)
     parts: list[int] = []
     m = n
     while m > 0:
-        s, d = _pick(m, uniform_below(rng, m * p[m]), p, fp, sigma, shift)
+        target = uniform_below(rng, m * small[m]) if m < K0 else _draw(rng, m, m * fp[m], shift, p)
+        s, d = _pick(m, target, small if m < K0 else p, fp, sigma, shift)
         parts.extend([d] * (s // d))
         m -= s
     parts.sort(reverse=True)

@@ -300,6 +300,7 @@ class TestExitCodes:
         (["scan", "--n", "19:21"], {}),
         (["count-type1", "--n", "28:32"], {"SNZ_PTABLE_CAP": "30"}),
         (["count-type1", "--n", "50,500"], {"SNZ_PTABLE_CAP": "100"}),
+        (["sample", "--n", "200000"], {}),
     ])
     def test_range_over_cap_fails_before_any_work(self, argv, env):
         proc = subprocess.run(

@@ -105,10 +105,10 @@ class TestEstimate:
 
     def test_forked_workers_inherit_the_parents_float_tables(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real 2-process pool on any host
-        monkeypatch.setattr(sampler, "_float_memo", (None, 0, (), ()))
+        monkeypatch.setattr(sampler, "_float_memo", (None, 0, (), (), ()))
         table = build_p_table(400)
         est = estimate(300, 40, 5, mode="types-only", workers=2, table=table)
-        assert sampler._float_memo[0] == (len(table), table[-1])  # built once, before the fork
+        assert sampler._float_memo[0] == 400  # built once for max_n = 400, before the fork
         assert montecarlo._POOL_TABLE is None
         serial = estimate(300, 40, 5, mode="types-only", table=table)
         assert (est.count_type1, est.count_type2) == (serial.count_type1, serial.count_type2)
@@ -244,14 +244,27 @@ class TestSweep:
             return build_p_table(max_n)
 
         monkeypatch.setattr(montecarlo, "build_p_table", build)
+        lengths, run = [], montecarlo.estimate
+        monkeypatch.setattr(montecarlo, "estimate", lambda *a: lengths.append(len(a[5])) or run(*a))
         rows = list(sweep(EstimateRequest((10, 31), 2, 0, "types-only")))
-        assert built == [10]  # n=31 is an error row, so it does not size the table
+        assert lengths == [11]  # n=31 is an error row, so it does not size the table
+        assert built == []  # below K0 the sampler reads its own small table
         # the counts a table up to the cap gives
         want = estimate(10, 2, sampler.derive_seed(0, 10), "types-only", table=build_p_table(30))
         assert rows[0]._replace(elapsed_seconds=0.0) == want._replace(elapsed_seconds=0.0)
         seed = sampler.derive_seed(0, 31)
         assert rows[1].csv_row() == \
             f"31,2,types-only,,,,,,,{seed},error:n=31 exceeds partition-table cap 30,"
+
+    def test_no_exact_table_is_built_where_floats_decide(self, monkeypatch):
+        # full-eval sweeps stay below K0, where the sampler reads its own small table; the
+        # on-demand table of estimate(table=None) at n = 1500 is not read on these streams
+        def build(max_n):
+            raise AssertionError(f"built p(0..{max_n})")
+
+        monkeypatch.setattr(montecarlo, "build_p_table", build)
+        assert all(r.error is None for r in sweep(EstimateRequest((30, 120), 5, 0, "full-eval")))
+        assert estimate(1500, 4, 0, "types-only").count_type1 is not None
 
     def test_per_n_seeds_differ(self):
         req = EstimateRequest(n_values=(8, 9), samples_per_n=10, master_seed=5, mode="full-eval")

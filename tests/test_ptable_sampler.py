@@ -24,6 +24,10 @@ from snzeros.census import count_type1, full_table_scan
 from snzeros.ptable import CAPS, pentagonal_offsets
 from snzeros import sampler
 from snzeros.sampler import (
+    EPS,
+    K0,
+    OnDemandTable,
+    _draw,
     _exact_pick,
     _float_table,
     _in_group,
@@ -45,6 +49,33 @@ def _sha256_lines(lines) -> str:
 @pytest.fixture(scope="module")
 def table_50000():
     return build_p_table(50000)
+
+
+class Unread:
+    """p(0..max_n) that fails on any read: the sampler may take its length alone."""
+
+    def __init__(self, max_n):
+        self.max_n = max_n
+
+    def __len__(self):
+        return self.max_n + 1
+
+    def __getitem__(self, k):
+        raise AssertionError(f"read p[{k}]")
+
+
+# draws of streams 0..19 under master seed 7, recorded with the integer scan (n = 1000 and
+# 20000 before the subtraction scan, n = 50000 before the float scan) on p(0..50000)
+FROZEN_STREAMS = [
+    (1000, "cbe04f077f6d1f93636ac26302009484cff1c4155bb46102b76b42dc58af8fc5"),
+    (20000, "c046dc6c1b708db380d2763b0ac4a00b22ca415844c4a57de2d933ba116fc16b"),
+    (50000, "9942370f1a8898778336a7efc7470e94dcd92a4023e6fde308e0e744422a0ce7"),
+]
+
+
+def _stream_digest(n, table):
+    return _sha256_lines(",".join(map(str, random_partition(n, SampleStream(7, i), table).parts))
+                         for i in range(20))
 
 
 class TestPartitionCountTable:
@@ -196,18 +227,32 @@ class TestRandomPartition:
             b = random_partition(30, SampleStream(5, i), table)
             assert a == b
 
-    @pytest.mark.parametrize("n, digest", [
-        (1000, "cbe04f077f6d1f93636ac26302009484cff1c4155bb46102b76b42dc58af8fc5"),
-        (20000, "c046dc6c1b708db380d2763b0ac4a00b22ca415844c4a57de2d933ba116fc16b"),
-        (50000, "9942370f1a8898778336a7efc7470e94dcd92a4023e6fde308e0e744422a0ce7"),
-    ])
+    @pytest.mark.parametrize("n, digest", FROZEN_STREAMS)
     def test_frozen_stream_digest(self, table_50000, n, digest):
-        # draws of streams 0..19 under master seed 7, recorded with the integer
-        # scan (n = 1000 and 20000 before the subtraction scan, n = 50000 before
-        # the float scan); any change to a draw changes the digest
-        lines = (",".join(map(str, random_partition(n, SampleStream(7, i), table_50000).parts))
-                 for i in range(20))
-        assert _sha256_lines(lines) == digest
+        # any change to a draw changes the digest
+        assert _stream_digest(n, table_50000) == digest
+
+    @pytest.mark.parametrize("n, digest", FROZEN_STREAMS)
+    def test_frozen_streams_never_read_the_exact_table(self, n, digest):
+        # floats decide every step of these streams: a table that fails on any read draws them
+        assert _stream_digest(n, Unread(50000)) == digest
+
+    def test_steps_floats_cannot_decide_build_the_exact_table_once(self, table_50000,
+                                                                    monkeypatch):
+        # a wide EPS sends steps at m >= K0 to the exact table, which gives the same draws
+        monkeypatch.setattr(sampler, "EPS", 2.0**-20)
+        built = []
+        table = OnDemandTable(50000, lambda max_n: built.append(max_n) or table_50000)
+        assert len(table) == 50001 and built == []
+        for n, digest in FROZEN_STREAMS:
+            assert _stream_digest(n, table) == digest
+        assert built == [50000]
+
+    def test_on_demand_table_checks_the_cap_when_made(self, monkeypatch):
+        monkeypatch.setenv("SNZ_PTABLE_CAP", "100")
+        with pytest.raises(ResourceLimit, match="n=101 exceeds partition-table cap 100"):
+            OnDemandTable(101, build=None)
+        assert OnDemandTable(100)[100] == 190569292
 
     def test_rejects_negative_n(self):
         with pytest.raises(SnZerosError, match="n must be >= 0, got -3"):
@@ -273,7 +318,7 @@ class TestFloatPick:
         # at m = 5000 and 50000.  Every value is an exact float while m*p(m) < 2^53
         # (m <= 227); past that, targets next to an edge fall back to the integer scan
         p = table_50000
-        shift, fp, sigma = _float_table(p)
+        shift, fp, sigma, _ = _float_table(p)
         assert shift == 0
         fallbacks = self._fallbacks(monkeypatch)
         checked = 0
@@ -290,7 +335,7 @@ class TestFloatPick:
         # every group's index arithmetic: each target in [0, m*p(m)), m <= 20, picks the pair
         # whose interval holds it, as the integer scan does
         p = build_p_table(20)
-        shift, fp, sigma = _float_table(p)
+        shift, fp, sigma, _ = _float_table(p)
         for m in range(1, 21):
             picks = [(s, d) for s, d, lo, hi in pick_intervals(m, p, range(1, m + 1))
                      for _ in range(lo, hi)]
@@ -334,10 +379,40 @@ class TestFloatPick:
         assert 0 < len(fallbacks) < len(targets)
 
     def test_float_table(self):
-        # only len(p) and p[-1] set the shift, which keeps max_n * p(max_n) below 2^1000 units
-        assert _float_table((1, 3 << 1100)) == (102, (2.0**-102, 3 * 2.0**998), (0.0, 1.0))
+        # max_n alone sets the shift, which keeps max_n * p(max_n) below 2^1000 units; it is 0
+        # to 73428 and 1 from 73429, as the exact bit lengths give
         table = build_p_table(30)
-        refs = sys.getrefcount(table)
         sigma = tuple(float(sum(d for d in range(1, k + 1) if k % d == 0)) for k in range(31))
-        assert _float_table(table) == (0, tuple(map(float, table)), sigma)
-        assert sys.getrefcount(table) == refs  # the memo does not hold the table
+        assert _float_table(Unread(30)) == (0, tuple(map(float, table)), sigma, table)
+        assert [_float_table(Unread(n))[0] for n in (73428, 73429, 100000)] == [0, 1, 168]
+
+    def test_float_table_is_within_eps_of_p(self, table_50000):
+        # exact correctly rounded values below K0, the analytic term from K0 on
+        shift, fp, _, small = _float_table(table_50000)
+        assert small == table_50000[:K0]
+        assert fp[:K0] == tuple(map(float, small))
+        assert max(abs(f / x - 1) for f, x in zip(fp, table_50000)) <= EPS / 4
+
+    def test_tables_past_float_max_n_scale_the_exact_values(self, table_50000, monkeypatch):
+        # past the reach of the EPS derivation the float table is p scaled, and draws hold
+        monkeypatch.setattr(sampler, "FLOAT_MAX_N", 49999)
+        monkeypatch.setattr(sampler, "_float_memo", (None, 0, (), (), ()))
+        assert _float_table(table_50000)[1] == _scaled(table_50000, 0)
+        n, digest = FROZEN_STREAMS[1]
+        assert _stream_digest(n, table_50000) == digest
+
+    @pytest.mark.parametrize("shift", [0, 200])
+    def test_draw_takes_the_bits_uniform_below_takes(self, table_50000, monkeypatch, shift):
+        # any fm within 2*EPS of m*p(m)/2^shift draws the same target from the same bits.  Wider
+        # EPS send more bounds near a power of two, and more draws, to m*p(m): at 2^-5 an fm just
+        # below a power of two stands for some m*p(m) at or above it, at 2^-3 every bound is exact
+        p = table_50000
+        for eps in (EPS, 2.0**-8, 2.0**-5, 2.0**-3):
+            monkeypatch.setattr(sampler, "EPS", eps)
+            for m in range(K0, 50001, 499):
+                fm = m * p[m] / (1 << shift)
+                for fm, seed in ((fm, m), (fm * (1 - 1.9 * eps), m + 1),
+                                 (fm * (1 + 1.9 * eps), m + 2)):
+                    a, b = random.Random(seed), random.Random(seed)
+                    assert [_draw(a, m, fm, shift, p) for _ in range(3)] == \
+                        [uniform_below(b, m * p[m]) for _ in range(3)], (m, seed)
