@@ -17,7 +17,7 @@ shift*ln 2) * (C - 1/lam) / (4*pi*sqrt(2)*lam^2), lam = sqrt(k - 1/24), C = pi*s
 EPS = 2^-40 relative: the omitted terms shrink like e^(-C*lam/2), below 2e-18 from K0 on; to first
 order in u = 2^-53, lam is within 1.5u, C and LN2 are correctly rounded, the exponent is off by
 u*(4.5*C*lam + 3*shift*ln 2) at most, libm's exp is assumed within 1 ulp, the prefactor adds 12.1u:
-at max_n's lam, 0.49 EPS for max_n = 100000 and 0.8 EPS at FLOAT_MAX_N (measured: 0.15 EPS).
+0.49 EPS at lam(FLOAT_MAX_N = 100000), measured 0.15 EPS; past it fp is p scaled, correctly rounded.
 
 Randomness contract: the bits consumed by sample #index are a pure function
 of (master_seed, index).  Each stream seeds an independent MT19937 generator
@@ -46,7 +46,7 @@ except ImportError:
         from hashlib import sha256
 
 RNG_NAME = "mt19937-sha256stream"
-K0, EPS, FLOAT_MAX_N = 1000, 2.0**-40, 200_000  # the float table's bounds: see above
+K0, EPS, FLOAT_MAX_N = 1000, 2.0**-40, 100_000  # the float table's bounds: see above
 C, D, LN2 = pi * sqrt(2 / 3), 4 * pi * sqrt(2), log(2)
 _float_memo: tuple = (None, 0, (), (), ())  # (max_n, shift, fp, sigma, small)
 
@@ -112,12 +112,13 @@ def uniform_below(rng: random.Random, bound: int) -> int:
 def _draw(rng: random.Random, m: int, fm: float, shift: int, p) -> int:
     """uniform_below(rng, m * p[m]), m >= K0, reading p[m] only where fm = m * fp[m] cannot decide.
 
-    fm = f * 2^e, within 2*EPS of M / 2^shift (M = m*p(m)), puts M / 2^(k - 60), k = e + shift, in
-    (c - d, c + d): k is M's bit length if 2^59 <= c - d, c + d <= 2^60; draws read M only there.
+    fm = f * 2^e, within 2*EPS of M / 2^shift (M = m*p(m)) once fm >= 2^-960 (fp[m] normal), puts
+    M / 2^(k - 60), k = e + shift, in (c - d, c + d): k is M's bit length if 2^59 <= c - d,
+    c + d <= 2^60; draws read M only there, or where fm < 2^-960 (fp[m] maybe subnormal).
     """
     f, e = frexp(fm)
     c, d = int(f * 2.0**60), int(EPS * 2.0**62) + 2
-    if c - d < 1 << 59 or c + d > 1 << 60:
+    if fm < 2.0**-960 or c - d < 1 << 59 or c + d > 1 << 60:
         return uniform_below(rng, m * p[m])
     k = e + shift
     while True:
@@ -155,9 +156,8 @@ def _scaled(p: tuple[int, ...], shift: int) -> tuple[float, ...]:
 def _float_table(p) -> tuple[int, tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
     """(shift, fp, sigma(0..max_n), small = p(0..min(max_n, K0 - 1))) for p = p(0..max_n).
 
-    Memoised for one max_n; p is read, and scaled, only past FLOAT_MAX_N.  sigma is sieved over
-    the divisor pairs a*k of each m, a <= k, one slice pass per a <= sqrt(max_n) and side, in
-    floats: each sum is far below 2^53, so exact.
+    Memoised on max_n; p is read, and scaled, only past FLOAT_MAX_N.  sigma is sieved in floats
+    (exact: each sum is far below 2^53) over divisor pairs a*k, a <= k: a slice pass per a, side.
     """
     global _float_memo
     if (memo := _float_memo)[0] != (max_n := len(p) - 1):

@@ -51,17 +51,12 @@ def table_50000():
     return build_p_table(50000)
 
 
-class Unread:
+def _unread(max_n):
     """p(0..max_n) that fails on any read: the sampler may take its length alone."""
+    def build(n):
+        raise AssertionError(f"built p(0..{n})")
 
-    def __init__(self, max_n):
-        self.max_n = max_n
-
-    def __len__(self):
-        return self.max_n + 1
-
-    def __getitem__(self, k):
-        raise AssertionError(f"read p[{k}]")
+    return OnDemandTable(max_n, build)
 
 
 # draws of streams 0..19 under master seed 7, recorded with the integer scan (n = 1000 and
@@ -235,7 +230,7 @@ class TestRandomPartition:
     @pytest.mark.parametrize("n, digest", FROZEN_STREAMS)
     def test_frozen_streams_never_read_the_exact_table(self, n, digest):
         # floats decide every step of these streams: a table that fails on any read draws them
-        assert _stream_digest(n, Unread(50000)) == digest
+        assert _stream_digest(n, _unread(50000)) == digest
 
     def test_steps_floats_cannot_decide_build_the_exact_table_once(self, table_50000,
                                                                     monkeypatch):
@@ -383,8 +378,20 @@ class TestFloatPick:
         # to 73428 and 1 from 73429, as the exact bit lengths give
         table = build_p_table(30)
         sigma = tuple(float(sum(d for d in range(1, k + 1) if k % d == 0)) for k in range(31))
-        assert _float_table(Unread(30)) == (0, tuple(map(float, table)), sigma, table)
-        assert [_float_table(Unread(n))[0] for n in (73428, 73429, 100000)] == [0, 1, 168]
+        assert _float_table(_unread(30)) == (0, tuple(map(float, table)), sigma, table)
+        assert [_float_table(_unread(n))[0] for n in (73428, 73429, 100000)] == [0, 1, 168]
+
+    @pytest.mark.parametrize("float_max_n", [sampler.FLOAT_MAX_N, 1199])
+    def test_float_memo_does_not_hold_the_table(self, monkeypatch, float_max_n):
+        # past FLOAT_MAX_N the float table scales the values it reads from p, and keeps no p
+        monkeypatch.setattr(sampler, "FLOAT_MAX_N", float_max_n)
+        monkeypatch.setattr(sampler, "_float_memo", (None, 0, (), (), ()))
+        table = build_p_table(1200)
+        refs = sys.getrefcount(table)
+        fp = _float_table(table)[1]
+        assert sampler._float_memo[0] == 1200
+        assert (fp[K0:] == _scaled(table[K0:], 0)) == (float_max_n < 1200)
+        assert sys.getrefcount(table) == refs  # the memo does not hold the table
 
     def test_float_table_is_within_eps_of_p(self, table_50000):
         # exact correctly rounded values below K0, the analytic term from K0 on
@@ -401,16 +408,18 @@ class TestFloatPick:
         n, digest = FROZEN_STREAMS[1]
         assert _stream_digest(n, table_50000) == digest
 
-    @pytest.mark.parametrize("shift", [0, 200])
+    @pytest.mark.parametrize("shift", [0, 200, 1338])
     def test_draw_takes_the_bits_uniform_below_takes(self, table_50000, monkeypatch, shift):
         # any fm within 2*EPS of m*p(m)/2^shift draws the same target from the same bits.  Wider
         # EPS send more bounds near a power of two, and more draws, to m*p(m): at 2^-5 an fm just
-        # below a power of two stands for some m*p(m) at or above it, at 2^-3 every bound is exact
+        # below a power of two stands for some m*p(m) at or above it, at 2^-3 every bound is exact.
+        # Shift 1338 is a scaled table's at max_n ~ 400000: fp[m] is subnormal for m < ~8000, a
+        # few bits wide at m ~ 5750..6500 (fm off by 20% at 5750), so such fm must read m*p(m)
         p = table_50000
         for eps in (EPS, 2.0**-8, 2.0**-5, 2.0**-3):
             monkeypatch.setattr(sampler, "EPS", eps)
-            for m in range(K0, 50001, 499):
-                fm = m * p[m] / (1 << shift)
+            for m in (*range(K0, 50001, 499), *range(5750, 6500, 50)):
+                fm = m * (p[m] / (1 << shift))  # m * fp[m], as random_partition forms it
                 for fm, seed in ((fm, m), (fm * (1 - 1.9 * eps), m + 1),
                                  (fm * (1 + 1.9 * eps), m + 2)):
                     a, b = random.Random(seed), random.Random(seed)
